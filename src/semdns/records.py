@@ -213,6 +213,7 @@ def export_master_file(origin: Name, records: Iterable[ResourceRecord]) -> str:
 def import_master_file(text: str) -> tuple[Name, list[ResourceRecord]]:
     origin: Name = ()
     records = []
+    names: dict[str, Name] = {}  # one tuple per spelling, shared by every record
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith(";"):
@@ -221,15 +222,24 @@ def import_master_file(text: str) -> tuple[Name, list[ResourceRecord]]:
             origin = parse_name(line.split(None, 1)[1])
             continue
         try:
-            records.append(_parse_record_line(line))
+            records.append(_parse_record_line(line, names))
         except (RecordError, ValueError, IndexError) as exc:
             raise RecordError(f"master file line {lineno}: {exc}") from exc
     return origin, records
 
 
-def _parse_record_line(line: str) -> ResourceRecord:
+def _parse_record_line(line: str, names: dict[str, Name] | None = None) -> ResourceRecord:
+    if names is None:
+        names = {}
+
+    def name(text: str) -> Name:
+        parsed = names.get(text)
+        if parsed is None:
+            parsed = names[text] = parse_name(text)
+        return parsed
+
     fields = _tokenize(line)
-    owner = parse_name(fields[0])
+    owner = name(fields[0])
     ttl = int(fields[1])
     if fields[2].upper() != "IN":
         raise RecordError(f"unsupported class {fields[2]!r}")
@@ -238,46 +248,39 @@ def _parse_record_line(line: str) -> ResourceRecord:
     if rtype == "A":
         rdata: Rdata = A(args[0])
     elif rtype == "NS":
-        rdata = NS(parse_name(args[0]))
+        rdata = NS(name(args[0]))
     elif rtype == "CNAME":
-        rdata = CNAME(parse_name(args[0]))
+        rdata = CNAME(name(args[0]))
     elif rtype == "PTR":
-        rdata = PTR(parse_name(args[0]))
+        rdata = PTR(name(args[0]))
     elif rtype == "TXT":
         rdata = TXT(tuple(args))
     elif rtype == "SRV":
-        rdata = SRV(int(args[0]), int(args[1]), int(args[2]), parse_name(args[3]))
+        rdata = SRV(int(args[0]), int(args[1]), int(args[2]), name(args[3]))
     elif rtype == "SOA":
-        rdata = SOA(parse_name(args[0]), parse_name(args[1]), *map(int, args[2:7]))
+        rdata = SOA(name(args[0]), name(args[1]), *map(int, args[2:7]))
     else:
         raise RecordError(f"unsupported record type {rtype!r}")
     return ResourceRecord(owner, ttl, rdata)
 
 
+# a double-quoted string (backslash escapes any character), a bare word
+# (which may hold quotes after its first character), or an unmatched quote
+_TOKEN_RE = re.compile(r'("(?:[^"\\]|\\.)*")|([^\s"]\S*)|(")', re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def _tokenize(line: str) -> list[str]:
     """Whitespace split with double-quoted strings kept whole."""
+    if '"' not in line:
+        return line.split()
     out = []
-    i = 0
-    n = len(line)
-    while i < n:
-        if line[i].isspace():
-            i += 1
-        elif line[i] == '"':
-            i += 1
-            buf = []
-            while i < n and line[i] != '"':
-                if line[i] == "\\" and i + 1 < n:
-                    i += 1
-                buf.append(line[i])
-                i += 1
-            if i == n:
-                raise RecordError("unterminated quoted string")
-            i += 1
-            out.append("".join(buf))
+    for quoted, bare, unmatched in _TOKEN_RE.findall(line):
+        if bare:
+            out.append(bare)
+        elif quoted:
+            body = quoted[1:-1]
+            out.append(_ESCAPE_RE.sub(r"\1", body) if "\\" in body else body)
         else:
-            j = i
-            while j < n and not line[j].isspace():
-                j += 1
-            out.append(line[i:j])
-            i = j
+            raise RecordError("unterminated quoted string")
     return out

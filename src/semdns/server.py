@@ -9,23 +9,25 @@ as a ``token=...`` TXT record in the additional section).
 
 from __future__ import annotations
 
+import functools
 import logging
+import selectors
 import socket
-import socketserver
 import struct
 import threading
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+import time
+from dataclasses import dataclass
+from typing import Optional
 
 from . import wire
 from .records import (
-    CLASS_IN, CLASS_NONE, CLASS_ANY, Name, PTR, ResourceRecord, TXT,
+    CLASS_NONE, CLASS_ANY, Name, PTR, ResourceRecord,
     TYPE_ANY, TYPE_AXFR, TYPE_CNAME, TYPE_IXFR, TYPE_PTR, TYPE_SOA, TYPE_TXT,
     is_subdomain, name_text,
 )
 from .wire import (
-    Message, OPCODE_QUERY, OPCODE_UPDATE, Question,
-    RCODE_FORMERR, RCODE_NOERROR, RCODE_NOTIMP, RCODE_NXDOMAIN, RCODE_REFUSED,
+    Message, OPCODE_QUERY, OPCODE_UPDATE,
+    RCODE_FORMERR, RCODE_NOTIMP, RCODE_NXDOMAIN, RCODE_REFUSED,
     RCODE_SERVFAIL,
 )
 from .zone import (
@@ -39,6 +41,8 @@ UPDATE_TOKEN_KEY = "token"
 #: UPDATE-borne registrations are TXT records at this owner label under
 #: the service name; the value packs the DeviceRegistration fields.
 REGISTER_LABEL = "_register"
+#: a TCP message carries a 2-byte length prefix (RFC 1035 §4.2.2)
+MAX_STREAM_MESSAGE = 0xFFFF
 
 
 @dataclass
@@ -72,16 +76,19 @@ def answer_query(msg: Message, zone: Zone) -> Message:
 
     answers: list[ResourceRecord] = []
     target = q.qname
-    # chase CNAMEs inside the zone, exposing the chain in the answer
+    # one zone read per name: chase CNAMEs inside the zone, exposing the
+    # chain in the answer, and answer from the records at the last name
+    here = zone.records_at(target)
     for _ in range(8):
-        aliases = zone.records_at(target, TYPE_CNAME)
-        if not aliases:
+        alias = next((r for r in here if r.rtype == TYPE_CNAME), None)
+        if alias is None:
             break
-        answers.append(aliases[0])
-        target = aliases[0].rdata.target
+        answers.append(alias)
+        target = alias.rdata.target
+        here = zone.records_at(target)
 
     if q.qtype == TYPE_ANY:
-        answers += zone.records_at(target)
+        answers += here
         if target == zone.origin:
             answers.append(zone.soa_record())
     elif q.qtype == TYPE_PTR:
@@ -92,14 +99,14 @@ def answer_query(msg: Message, zone: Zone) -> Message:
                 for instance in discovered
             ]
         else:
-            answers += zone.records_at(target, TYPE_PTR)
+            answers += [r for r in here if r.rtype == TYPE_PTR]
     elif q.qtype == TYPE_SOA:
         if target == zone.origin:
             answers.append(zone.soa_record())
     else:
-        answers += zone.records_at(target, q.qtype)
+        answers += [r for r in here if r.rtype == q.qtype]
 
-    if not answers and not zone.has_owner(target):
+    if not answers and not here and not zone.has_owner(target):
         return msg.reply(rcode=RCODE_NXDOMAIN)
     return msg.reply(answers=tuple(answers))
 
@@ -275,7 +282,8 @@ def update_token_record(secret: str, owner: Name = ()) -> ResourceRecord:
 
 def dispatch(data: bytes, zone: Zone, config: ServerConfig,
              stream: bool, source: Optional[str]) -> bytes:
-    """Decode, route, answer, encode; applies the datagram cap with TC."""
+    """Decode, route, answer, encode; applies the datagram cap with TC
+    and the stream-message cap with SERVFAIL."""
     try:
         msg = wire.decode(data)
     except wire.WireError:
@@ -299,11 +307,43 @@ def dispatch(data: bytes, zone: Zone, config: ServerConfig,
     if not stream and len(payload) > config.byte_cap:
         # too big for a datagram: empty truncated reply, client retries on stream
         payload = wire.encode(reply.reply(tc=True))
+    elif stream and len(payload) > MAX_STREAM_MESSAGE:
+        # past the 2-byte length prefix; multi-message transfers are not served
+        log.warning("answer of %d bytes exceeds one stream message: SERVFAIL", len(payload))
+        payload = wire.encode(reply.reply(rcode=RCODE_SERVFAIL))
     return payload
 
 
+class _Conn:
+    """One TCP peer: bytes read but not yet answered, replies not yet sent."""
+
+    __slots__ = ("sock", "peer", "inbuf", "outbuf", "last_active", "eof", "events", "handler")
+
+    def __init__(self, sock: socket.socket, peer: str, now: float):
+        self.sock = sock
+        self.peer = peer
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
+        self.last_active = now
+        self.eof = False  # the peer has shut down its sending side
+        self.events = selectors.EVENT_READ
+        self.handler = None
+
+
 class DnsServer:
-    """UDP + TCP service around one zone; runs until shutdown()."""
+    """UDP + TCP service around one zone, run by one selector thread.
+
+    The thread answers every queued datagram inline.  Each TCP
+    connection is non-blocking with an input and an output buffer:
+    length-prefixed queries are answered in order as they arrive
+    (RFC 7766 pipelining), and replies the peer has not yet read wait
+    in the output buffer.  Connections idle for IDLE_TIMEOUT seconds
+    are closed; at MAX_CONNECTIONS the longest-idle one makes room for
+    a new peer.
+    """
+
+    IDLE_TIMEOUT = 10.0
+    MAX_CONNECTIONS = 128
 
     def __init__(self, zone: Zone, config: ServerConfig):
         self.zone = zone
@@ -313,80 +353,203 @@ class DnsServer:
             self._journal_file = JournalFile(config.journal_file)
             zone.load_journal(self._journal_file.load())
             zone.on_mutate = self._persist
-        outer = self
-
-        class _UdpHandler(socketserver.BaseRequestHandler):
-            def handle(self):
-                data, sock = self.request
-                payload = dispatch(
-                    data, outer.zone, outer.config, stream=False,
-                    source=self.client_address[0],
-                )
-                sock.sendto(payload, self.client_address)
-
-        class _TcpHandler(socketserver.BaseRequestHandler):
-            def handle(self):
-                try:
-                    header = _recv_exact(self.request, 2)
-                    (length,) = struct.unpack("!H", header)
-                    data = _recv_exact(self.request, length)
-                except ConnectionError:
-                    return
-                payload = dispatch(
-                    data, outer.zone, outer.config, stream=True,
-                    source=self.client_address[0],
-                )
-                self.request.sendall(struct.pack("!H", len(payload)) + payload)
-
-        class _Udp(socketserver.ThreadingUDPServer):
-            allow_reuse_address = True
-
-        class _Tcp(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        addr = (config.host, config.port)
-        self._udp = _Udp(addr, _UdpHandler)
-        self._tcp = _Tcp((config.host, self._udp.server_address[1]), _TcpHandler)
-        self._threads: list[threading.Thread] = []
-
-    @property
-    def port(self) -> int:
-        return self._udp.server_address[1]
+        self._udp, self._tcp = _bind_pair(config.host, config.port)
+        self.port: int = self._udp.getsockname()[1]
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        for sock, handler in ((self._udp, self._read_udp), (self._tcp, self._accept),
+                              (self._wake_r, self._read_wake)):
+            sock.setblocking(False)
+            self._selector.register(sock, selectors.EVENT_READ, handler)
+        self._conns: dict[socket.socket, _Conn] = {}
+        self._next_reap: Optional[float] = None  # no connection can be idle before this
+        self._stopping = False
+        self._thread: Optional[threading.Thread] = None
 
     def _persist(self, entry):
         self._journal_file.append(entry)
 
     def start(self) -> None:
-        for srv in (self._udp, self._tcp):
-            t = threading.Thread(target=srv.serve_forever, daemon=True)
-            t.start()
-            self._threads.append(t)
+        self._thread = threading.Thread(target=self._serve, name="semdns-server", daemon=True)
+        self._thread.start()
         log.info("listening on %s:%d (udp+tcp)", self.config.host, self.port)
 
     def shutdown(self) -> None:
-        for srv in (self._udp, self._tcp):
-            srv.shutdown()
-            srv.server_close()
-        for t in self._threads:
-            t.join(timeout=5)
+        """Stop the loop and close every socket; safe before start() and twice."""
+        self._stopping = True
+        if self._thread is None:
+            self._close_all()
+        else:
+            try:
+                self._wake_w.send(b"\0")
+            except OSError:
+                pass  # closed by an earlier shutdown()
+            self._thread.join(timeout=5)
+        self._wake_w.close()
 
     def serve_forever(self) -> None:
         self.start()
         try:
-            threading.Event().wait()
+            self._thread.join()
         except KeyboardInterrupt:
             self.shutdown()
 
+    # -- the loop ------------------------------------------------------------
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise ConnectionError("peer closed mid-message")
-        buf += chunk
-    return buf
+    def _serve(self) -> None:
+        try:
+            while not self._stopping:
+                timeout = None
+                if self._next_reap is not None:
+                    timeout = max(0.0, self._next_reap - time.monotonic())
+                for key, mask in self._selector.select(timeout):
+                    try:
+                        key.data(mask)
+                    except Exception:
+                        log.exception("transport callback failed")
+                        conn = self._conns.get(key.fileobj)
+                        if conn is not None:
+                            self._close(conn)
+                if self._next_reap is not None and time.monotonic() >= self._next_reap:
+                    self._reap_idle()
+        finally:
+            self._close_all()
+
+    def _read_wake(self, mask: int) -> None:
+        self._wake_r.recv(64)
+
+    def _read_udp(self, mask: int) -> None:
+        for _ in range(_BATCH):
+            try:
+                data, addr = self._udp.recvfrom(_MAX_DATAGRAM)
+            except BlockingIOError:
+                return
+            payload = dispatch(data, self.zone, self.config, stream=False, source=addr[0])
+            try:
+                self._udp.sendto(payload, addr)
+            except OSError as exc:
+                log.warning("dropped reply to %s:%d: %s", addr[0], addr[1], exc)
+
+    def _accept(self, mask: int) -> None:
+        for _ in range(_BATCH):
+            try:
+                sock, addr = self._tcp.accept()
+            except BlockingIOError:
+                return
+            if len(self._conns) >= self.MAX_CONNECTIONS:
+                self._close(min(self._conns.values(), key=lambda c: c.last_active))
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            now = time.monotonic()
+            conn = _Conn(sock, addr[0], now)
+            conn.handler = functools.partial(self._on_conn, conn)
+            self._selector.register(sock, conn.events, conn.handler)
+            self._conns[sock] = conn
+            if self._next_reap is None:
+                self._next_reap = now + self.IDLE_TIMEOUT
+
+    def _on_conn(self, conn: _Conn, mask: int) -> None:
+        conn.last_active = time.monotonic()
+        try:
+            if mask & selectors.EVENT_READ:
+                data = conn.sock.recv(_RECV_SIZE)
+                if data:
+                    conn.inbuf += data
+                else:
+                    conn.eof = True
+            self._pump(conn)
+        except BlockingIOError:
+            return
+        except OSError:  # reset by the peer
+            self._close(conn)
+
+    def _pump(self, conn: _Conn) -> None:
+        """Answer whole queries in order and send, holding back while
+        more than _HIGH_WATER reply bytes wait for the peer to read."""
+        inbuf, outbuf = conn.inbuf, conn.outbuf
+        while True:
+            while len(outbuf) < _HIGH_WATER and len(inbuf) >= 2:
+                end = 2 + int.from_bytes(inbuf[:2], "big")
+                if len(inbuf) < end:
+                    break
+                query = bytes(inbuf[2:end])
+                del inbuf[:end]
+                payload = dispatch(query, self.zone, self.config, stream=True, source=conn.peer)
+                outbuf += struct.pack("!H", len(payload))
+                outbuf += payload
+            if not outbuf:
+                break
+            try:
+                sent = conn.sock.send(outbuf)
+            except BlockingIOError:
+                break
+            del outbuf[:sent]
+            if outbuf:
+                break
+        if conn.eof and not outbuf:
+            self._close(conn)
+            return
+        events = selectors.EVENT_WRITE if outbuf else 0
+        if not conn.eof and len(outbuf) < _HIGH_WATER:
+            events |= selectors.EVENT_READ
+        if events != conn.events:
+            self._selector.modify(conn.sock, events, conn.handler)
+            conn.events = events
+
+    def _reap_idle(self) -> None:
+        cutoff = time.monotonic() - self.IDLE_TIMEOUT
+        for conn in [c for c in self._conns.values() if c.last_active <= cutoff]:
+            self._close(conn)
+        self._next_reap = (min(c.last_active for c in self._conns.values()) + self.IDLE_TIMEOUT
+                           if self._conns else None)
+
+    def _close(self, conn: _Conn) -> None:
+        # a connection closed earlier in a batch may still have an event in it
+        if self._conns.pop(conn.sock, None) is None:
+            return
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+
+    def _close_all(self) -> None:
+        for conn in list(self._conns.values()):
+            self._close(conn)
+        for sock in (self._udp, self._tcp, self._wake_r):
+            sock.close()
+        self._selector.close()
+
+
+#: datagrams or accepts handled per readiness event before other sockets get a turn
+_BATCH = 64
+_MAX_DATAGRAM = 65535
+_RECV_SIZE = 16384
+#: a connection is not read while this many reply bytes wait for its peer
+_HIGH_WATER = 1 << 18
+#: with port 0, ephemeral ports tried before giving up on a UDP+TCP pair
+_BIND_ATTEMPTS = 8
+
+
+def _bind_pair(host: str, port: int) -> tuple[socket.socket, socket.socket]:
+    """A UDP socket and a listening TCP socket on one port.
+
+    With port 0 the kernel picks the UDP port, which may be taken for
+    TCP; each retry starts over on a fresh ephemeral port.
+    """
+    attempts_left = _BIND_ATTEMPTS if port == 0 else 1
+    while True:
+        attempts_left -= 1
+        udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        tcp = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            udp.bind((host, port))
+            tcp.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            tcp.bind((host, udp.getsockname()[1]))
+            tcp.listen()
+            return udp, tcp
+        except OSError:
+            udp.close()
+            tcp.close()
+            if not attempts_left:
+                raise
 
 
 def run(config: ServerConfig, zone: Optional[Zone] = None) -> DnsServer:

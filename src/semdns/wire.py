@@ -222,7 +222,11 @@ class _Reader:
             else:
                 if pos + 1 + length > len(self.data):
                     raise WireError("truncated label")
-                labels.append(self.data[pos + 1 : pos + 1 + length].decode("ascii").lower())
+                try:
+                    label = self.data[pos + 1 : pos + 1 + length].decode("ascii")
+                except UnicodeDecodeError:
+                    raise WireError("non-ASCII byte in label") from None
+                labels.append(label.lower())
                 pos += 1 + length
         name = tuple(labels)
         if sum(len(l) + 1 for l in name) + 1 > MAX_NAME_WIRE:

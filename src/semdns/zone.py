@@ -262,28 +262,29 @@ class Zone:
     def ptr_discover(self, qname: Name) -> set[Name]:
         """Instance names for every device whose identifier extends the
         prefix spelled by ``qname``.  Underscore-prefixed identifier
-        labels are accepted and CNAME aliases are chased first."""
-        qname = self._chase_cname(qname)
+        labels are accepted and CNAME aliases are chased first.  One
+        pass over the zone collects both the aliases and the pointers."""
+        aliases: dict[Name, Name] = {}
+        pointers: list[tuple[str, Name]] = []
+        with self._lock:
+            for r in self._records:
+                rtype = r.rtype
+                if rtype == TYPE_PTR:
+                    ident = self._identifier_of(r.owner)
+                    if ident is not None:
+                        pointers.append((ident, r.rdata.target))
+                elif rtype == TYPE_CNAME:
+                    aliases.setdefault(r.owner, r.rdata.target)
+        for _ in range(8):
+            if qname not in aliases:
+                break
+            qname = aliases[qname]
+        else:
+            raise ZoneError(f"CNAME chain too long at {name_text(qname)}")
         prefix = self._identifier_of(qname)
         if prefix is None:
             return set()
-        out = set()
-        with self._lock:
-            for r in self._records:
-                if r.rtype != TYPE_PTR:
-                    continue
-                ident = self._identifier_of(r.owner)
-                if ident is not None and ident.startswith(prefix):
-                    out.add(r.rdata.target)
-        return out
-
-    def _chase_cname(self, qname: Name, limit: int = 8) -> Name:
-        for _ in range(limit):
-            aliases = self.records_at(qname, TYPE_CNAME)
-            if not aliases:
-                return qname
-            qname = aliases[0].rdata.target
-        raise ZoneError(f"CNAME chain too long at {name_text(qname)}")
+        return {target for ident, target in pointers if ident.startswith(prefix)}
 
     def _identifier_of(self, name: Name) -> Optional[str]:
         """Join the identifier chunks of a name under <service>.<origin>,

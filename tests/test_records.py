@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semdns.records import (
     A, CNAME, NS, PTR, RecordError, ResourceRecord, SOA, SRV, TXT,
-    export_master_file, import_master_file, is_subdomain, make_txt,
+    _tokenize, export_master_file, import_master_file, is_subdomain, make_txt,
     name_text, parse_name,
 )
 
@@ -87,3 +89,72 @@ class TestMasterFile:
     def test_rejects_unknown_type(self):
         with pytest.raises(RecordError):
             import_master_file("x. 60 IN MX 10 mail.example.\n")
+
+
+def reference_tokenize(line: str) -> list[str]:
+    """The character loop the regex tokenizer replaced, kept as its oracle."""
+    out = []
+    i = 0
+    n = len(line)
+    while i < n:
+        if line[i].isspace():
+            i += 1
+        elif line[i] == '"':
+            i += 1
+            buf = []
+            while i < n and line[i] != '"':
+                if line[i] == "\\" and i + 1 < n:
+                    i += 1
+                buf.append(line[i])
+                i += 1
+            if i == n:
+                raise RecordError("unterminated quoted string")
+            i += 1
+            out.append("".join(buf))
+        else:
+            j = i
+            while j < n and not line[j].isspace():
+                j += 1
+            out.append(line[i:j])
+            i = j
+    return out
+
+
+def tokens_or_error(tokenize, line):
+    try:
+        return tokenize(line)
+    except RecordError:
+        return RecordError
+
+
+# quotes, backslashes, ASCII and Unicode spaces, line separators, and letters
+tricky_lines = st.text(
+    st.sampled_from('"\\ \t\n\x0b\x0c\x1c\x85\xa0\u2003\u2028\u3000ab=é;') | st.characters(),
+    max_size=40,
+)
+
+
+class TestTokenize:
+    @settings(max_examples=2000)
+    @given(tricky_lines)
+    def test_matches_reference_loop(self, line):
+        assert tokens_or_error(_tokenize, line) == tokens_or_error(reference_tokenize, line)
+
+    @pytest.mark.parametrize("line", [
+        'a\t1 IN TXT "x y" "q\\"z"', '"" ""', '"ab"cd', 'a"b c"', '"unterminated',
+        '"ends in backslash\\', '"\\\\"', '"escaped\\\nnewline"', "plain words only",
+    ])
+    def test_examples_match_reference_loop(self, line):
+        assert tokens_or_error(_tokenize, line) == tokens_or_error(reference_tokenize, line)
+
+
+def test_import_shares_name_tuples():
+    text = (
+        "$ORIGIN .\n"
+        "a.example.\t100\tIN\tSRV\t10 20 80 h.example.\n"
+        "a.example.\t100\tIN\tTXT\t\"k=v\"\n"
+        "b.example.\t100\tIN\tCNAME\th.example.\n"
+    )
+    _, (srv, txt, cname) = import_master_file(text)
+    assert srv.owner is txt.owner
+    assert srv.rdata.target is cname.rdata.target

@@ -1,9 +1,17 @@
+import errno
 import random
+import socket
+import struct
+import sys
+import threading
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import build_fixture_zone
-from semdns import client, wire
+from semdns import client, server as server_module, wire
 from semdns.records import (
     A, CNAME, PTR, ResourceRecord, SOA, SRV, TXT,
     TYPE_A, TYPE_ANY, TYPE_AXFR, TYPE_CNAME, TYPE_IXFR, TYPE_PTR, TYPE_SOA,
@@ -25,6 +33,7 @@ from semdns.server import (
 from semdns.wire import (
     Message, OPCODE_UPDATE, Question,
     RCODE_FORMERR, RCODE_NOERROR, RCODE_NOTIMP, RCODE_NXDOMAIN, RCODE_REFUSED,
+    RCODE_SERVFAIL,
 )
 from semdns.zone import (
     DeviceRegistration, SplitPolicy, Zone, txt_pair, txt_value,
@@ -106,6 +115,38 @@ class TestAnswerQuery:
         assert any(r.rtype == TYPE_CNAME for r in reply.answers)
         assert {r.rdata.target for r in reply.answers if r.rtype == TYPE_PTR} == {
             parse_name("t.2.a._iot._udp")}
+
+
+    @pytest.mark.parametrize("name, qtype, reads, owner_checks", [
+        ("temperature.dr56._iot._udp", TYPE_SRV, 1, 0),  # found
+        ("dr56.unipr.it", TYPE_SRV, 1, 0),                # NODATA at an owner
+        ("_dr._iot._udp", TYPE_TXT, 1, 1),                # empty non-terminal
+        ("nothing.here", TYPE_A, 1, 1),                   # NXDOMAIN
+    ])
+    def test_one_zone_read_per_name(self, fixture_zone, monkeypatch, name, qtype,
+                                    reads, owner_checks):
+        calls = {"records_at": 0, "has_owner": 0}
+        for method in calls:
+            original = getattr(Zone, method)
+
+            def counted(self, *args, _original=original, _method=method):
+                calls[_method] += 1
+                return _original(self, *args)
+            monkeypatch.setattr(Zone, method, counted)
+        ask(fixture_zone, name, qtype)
+        assert calls == {"records_at": reads, "has_owner": owner_checks}
+
+    def test_one_zone_read_per_cname_hop(self, monkeypatch):
+        zone = Zone()
+        zone.add_record(ResourceRecord(parse_name("a.example"), 100, CNAME(parse_name("b.example"))))
+        zone.add_record(ResourceRecord(parse_name("b.example"), 100, A("10.0.0.1")))
+        calls = []
+        original = Zone.records_at
+        monkeypatch.setattr(Zone, "records_at",
+                            lambda self, *args: calls.append(args) or original(self, *args))
+        reply = ask(zone, "a.example", TYPE_A)
+        assert [r.rtype for r in reply.answers] == [TYPE_CNAME, TYPE_A]
+        assert calls == [(parse_name("a.example"),), (parse_name("b.example"),)]
 
 
 class TestAxfr:
@@ -267,6 +308,16 @@ class TestUpdate:
         assert handle_update(msg, fixture_zone, ServerConfig(port=0)).rcode == RCODE_NOTIMP
 
 
+@pytest.fixture(scope="module")
+def large_zone():
+    """1,500 devices: a full transfer is over 65,535 bytes."""
+    zone = Zone()
+    for i in range(1500):
+        zone.register_device(DeviceRegistration(
+            f"dev{i}", f"dr{i:04d}", 8080, parse_name(f"h{i}.example")))
+    return zone
+
+
 class TestDispatch:
     def test_garbage_is_formerr(self, fixture_zone):
         reply = wire.decode(dispatch(
@@ -286,6 +337,43 @@ class TestDispatch:
         tcp = wire.decode(dispatch(q, fixture_zone, ServerConfig(port=0),
                                    stream=True, source=None))
         assert not tcp.tc and len(tcp.answers) >= 80
+
+
+    def test_non_ascii_label_is_formerr(self, fixture_zone):
+        q = bytearray(wire.encode(Message(id=0x4242, questions=(
+            Question(parse_name("temperature.dr56._iot._udp"), TYPE_SRV),))))
+        q[13] = 0xE9  # a byte of the first label
+        reply = wire.decode(dispatch(bytes(q), fixture_zone, ServerConfig(port=0),
+                                     stream=False, source=None))
+        assert reply.rcode == RCODE_FORMERR and reply.id == 0x4242
+
+    def test_stream_answer_over_one_message_is_servfail(self, large_zone):
+        q = wire.encode(Message(id=9, questions=(Question((), TYPE_AXFR),)))
+        reply = wire.decode(dispatch(q, large_zone, ServerConfig(port=0),
+                                     stream=True, source=None))
+        assert reply.rcode == RCODE_SERVFAIL and reply.id == 9 and not reply.answers
+
+
+PROPERTY_ZONE = build_fixture_zone()
+SRV_QUERY = wire.encode(Message(id=0x1234, questions=(
+    Question(parse_name("temperature.dr56._iot._udp"), TYPE_SRV),)))
+
+
+@st.composite
+def damaged_queries(draw):
+    """A valid SRV query with one to four bytes replaced."""
+    data = bytearray(SRV_QUERY)
+    for _ in range(draw(st.integers(1, 4))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(st.binary(min_size=2, max_size=200), damaged_queries()), st.booleans())
+def test_dispatch_always_replies_with_the_query_id(data, stream):
+    reply = wire.decode(dispatch(data, PROPERTY_ZONE, ServerConfig(port=0),
+                                 stream=stream, source=None))
+    assert reply.id == int.from_bytes(data[:2], "big")
 
 
 class TestLiveServer:
@@ -362,3 +450,222 @@ class TestLiveServer:
             assert texts == ["temperature=14", "temperature=15"]
         finally:
             server2.shutdown()
+
+
+@pytest.fixture
+def serve(monkeypatch):
+    """Start a server on the fixture zone; DnsServer constants may be patched first."""
+    servers = []
+
+    def start(zone=None, **constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(DnsServer, name, value)
+        srv = DnsServer(zone or build_fixture_zone(), ServerConfig(port=0))
+        srv.start()
+        servers.append(srv)
+        return srv
+
+    yield start
+    for srv in servers:
+        srv.shutdown()
+
+
+def tcp_connect(port):
+    return socket.create_connection(("127.0.0.1", port), timeout=5)
+
+
+def frame(msg):
+    payload = wire.encode(msg)
+    return struct.pack("!H", len(payload)) + payload
+
+
+def read_message(sock):
+    (length,) = struct.unpack("!H", client._recv_exact(sock, 2))
+    return wire.decode(client._recv_exact(sock, length))
+
+
+A_QUERY = Question(parse_name("dr56.unipr.it"), TYPE_A)
+
+
+class TestTransport:
+    def test_udp_queries_start_no_threads(self, serve):
+        srv = serve()
+        before = threading.active_count()
+        counts = set()
+        for _ in range(500):
+            reply = client.query("127.0.0.1", srv.port, A_QUERY.qname, TYPE_A)
+            assert reply.answers
+            counts.add(threading.active_count())
+        assert counts == {before}
+
+    def test_pipelined_queries_answered_in_order(self, serve):
+        srv = serve()
+        with tcp_connect(srv.port) as sock:
+            sock.sendall(frame(Message(id=1, questions=(A_QUERY,)))
+                         + frame(Message(id=2, questions=(
+                             Question(parse_name("temperature.dr56._iot._udp"), TYPE_TXT),))))
+            first, second = read_message(sock), read_message(sock)
+        assert (first.id, second.id) == (1, 2)
+        assert first.answers[0].rdata.address == "160.78.28.203"
+        assert second.answers[0].rdata.text == "temperature=14"
+
+    def test_half_closed_peer_still_answered(self, serve):
+        srv = serve()
+        with tcp_connect(srv.port) as sock:
+            sock.sendall(frame(Message(id=3, questions=(A_QUERY,))))
+            sock.shutdown(socket.SHUT_WR)
+            assert read_message(sock).id == 3
+            assert sock.recv(1) == b""  # then the server closes
+
+    def test_idle_peer_closed_after_timeout(self, serve):
+        srv = serve(IDLE_TIMEOUT=0.2)
+        with tcp_connect(srv.port) as sock:
+            sock.sendall(b"\x00")  # half a length prefix, never finished
+            t0 = time.monotonic()
+            assert sock.recv(1) == b""
+            assert time.monotonic() - t0 < 2
+
+    def test_idle_peer_does_not_delay_udp(self, serve):
+        srv = serve()
+        with tcp_connect(srv.port) as sock:
+            sock.sendall(b"\x00\x40partial")
+            t0 = time.monotonic()
+            for _ in range(20):
+                assert client.query("127.0.0.1", srv.port, A_QUERY.qname, TYPE_A,
+                                    timeout=2).answers
+            assert time.monotonic() - t0 < 2
+
+    def test_connection_cap_evicts_longest_idle(self, serve):
+        srv = serve(MAX_CONNECTIONS=2)
+        oldest, newer = tcp_connect(srv.port), tcp_connect(srv.port)
+        with oldest, newer:
+            newer.sendall(frame(Message(id=4, questions=(A_QUERY,))))
+            assert read_message(newer).id == 4
+            with tcp_connect(srv.port) as third:
+                third.sendall(frame(Message(id=5, questions=(A_QUERY,))))
+                assert read_message(third).id == 5
+                assert oldest.recv(1) == b""
+                newer.sendall(frame(Message(id=6, questions=(A_QUERY,))))
+                assert read_message(newer).id == 6
+
+    def test_pipelined_large_transfers_arrive_whole_and_in_order(self, serve):
+        zone = Zone()
+        for i in range(250):
+            zone.register_device(DeviceRegistration(
+                f"dev{i}", f"dr{i:03d}", 8080, parse_name(f"h{i}.example"),
+                txt=(("data", "x" * 150),)))
+        srv = serve(zone)
+        count = 100
+        with tcp_connect(srv.port) as sock:
+            # every query goes out, and the sending side is shut, before any
+            # reply is read, so the replies (about 6 MB) back up past the
+            # socket buffers and must still drain after the peer's EOF
+            sock.sendall(b"".join(frame(Message(id=i, questions=(Question((), TYPE_AXFR),)))
+                                  for i in range(count)))
+            sock.shutdown(socket.SHUT_WR)
+            sizes = []
+            for i in range(count):
+                (length,) = struct.unpack("!H", client._recv_exact(sock, 2))
+                reply = wire.decode(client._recv_exact(sock, length))
+                assert reply.id == i and reply.rcode == RCODE_NOERROR
+                assert len(reply.answers) == len(zone.records()) + 2
+                sizes.append(length)
+            assert sock.recv(1) == b""
+        assert min(sizes) > 50_000
+
+    def test_axfr_over_one_message_is_servfail(self, serve, large_zone):
+        srv = serve(large_zone)
+        reply = client.axfr("127.0.0.1", srv.port, ())
+        assert reply.rcode == RCODE_SERVFAIL and not reply.answers
+
+    def test_failing_callback_does_not_stop_the_server(self, serve, monkeypatch):
+        srv = serve()
+        original = server_module.dispatch
+        failures = iter([True])
+
+        def flaky(*args, **kwargs):
+            if next(failures, False):
+                raise RuntimeError("injected")
+            return original(*args, **kwargs)
+        monkeypatch.setattr(server_module, "dispatch", flaky)
+        with pytest.raises(client.ClientError):
+            client.query("127.0.0.1", srv.port, A_QUERY.qname, TYPE_A, timeout=0.5)
+        assert client.query("127.0.0.1", srv.port, A_QUERY.qname, TYPE_A).answers
+
+    def test_concurrent_clients(self, serve):
+        srv = serve()
+        errors = []
+
+        def worker(n):
+            try:
+                for i in range(40):
+                    msg = Message(id=(n << 8) | i, questions=(A_QUERY,))
+                    reply = client.exchange(msg, "127.0.0.1", srv.port, tcp=bool(i % 2))
+                    if reply.id != msg.id or reply.answers[0].rdata.address != "160.78.28.203":
+                        errors.append(reply)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+
+def returns_within(fn, seconds=5):
+    t = threading.Thread(target=fn, daemon=True)
+    t.start()
+    t.join(timeout=seconds)
+    return not t.is_alive()
+
+
+class TestLifecycle:
+    def test_shutdown_before_start_returns(self):
+        srv = DnsServer(build_fixture_zone(), ServerConfig(port=0))
+        assert returns_within(srv.shutdown)
+        assert returns_within(srv.shutdown)
+
+    def test_shutdown_twice_returns(self):
+        srv = DnsServer(build_fixture_zone(), ServerConfig(port=0))
+        srv.start()
+        assert returns_within(srv.shutdown)
+        assert returns_within(srv.shutdown)
+
+    def test_port_zero_retries_when_tcp_port_is_taken(self, monkeypatch):
+        real_bind = socket.socket.bind
+        refused = []
+
+        def bind(sock, addr):
+            if sock.type == socket.SOCK_STREAM and not refused:
+                refused.append(addr)
+                raise OSError(errno.EADDRINUSE, "Address already in use")
+            return real_bind(sock, addr)
+        monkeypatch.setattr(socket.socket, "bind", bind)
+        srv = DnsServer(build_fixture_zone(), ServerConfig(port=0))
+        srv.start()
+        try:
+            assert refused
+            assert client.query("127.0.0.1", srv.port, A_QUERY.qname, TYPE_A).answers
+            assert client.axfr("127.0.0.1", srv.port, ()).answers
+        finally:
+            srv.shutdown()
+
+    def test_port_zero_gives_up_with_the_last_error(self, monkeypatch):
+        real_bind = socket.socket.bind
+
+        def bind(sock, addr):
+            if sock.type == socket.SOCK_STREAM:
+                raise OSError(errno.EADDRINUSE, "Address already in use")
+            return real_bind(sock, addr)
+        monkeypatch.setattr(socket.socket, "bind", bind)
+        with pytest.raises(OSError) as info:
+            DnsServer(build_fixture_zone(), ServerConfig(port=0))
+        assert info.value.errno == errno.EADDRINUSE
