@@ -13,12 +13,12 @@ import logging
 import os
 import sys
 
-from . import client, geo, names, server
+from . import client, geo, names
 from .bits import DecodeError
 from .contexts import ContextError, LogicalLocation, default_registry, encode_logical, encode_tree_path, load_registry
 from .records import (
-    Name, RecordError, ResourceRecord, TYPE_CODES, TYPE_NAMES,
-    export_master_file, name_text, parse_name, render_rdata,
+    RecordError, ResourceRecord, TYPE_CODES, TYPE_NAMES,
+    export_master_file, name_text, parse_name,
 )
 from .server import DnsServer, ServerConfig
 from .wire import RCODE_NAMES, RCODE_NOERROR, RCODE_NXDOMAIN, RCODE_REFUSED
@@ -82,7 +82,7 @@ def _record_json(r: ResourceRecord) -> dict:
         "owner": name_text(r.owner),
         "ttl": r.ttl,
         "type": r.type_name,
-        "rdata": render_rdata(r.rdata),
+        "rdata": r.rdata.to_text(),
     }
 
 
@@ -258,13 +258,12 @@ def cmd_serve(args) -> int:
     config = ServerConfig(
         host=args.host,
         port=args.port,
-        zone_file=args.zone_file,
         journal_file=args.journal,
         update_secret=args.secret or os.environ.get("SEMDNS_UPDATE_SECRET"),
         allowed_sources=tuple(args.allow) if args.allow else None,
     )
     try:
-        with open(config.zone_file, encoding="utf-8") as fh:
+        with open(args.zone_file, encoding="utf-8") as fh:
             zone = Zone.from_master_file(
                 fh.read(), policy=SplitPolicy(args.split_mode, args.split_length)
             )

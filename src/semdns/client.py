@@ -9,14 +9,12 @@ from __future__ import annotations
 import random
 import socket
 import struct
+import time
 from typing import Optional, Sequence
 
 from . import wire
-from .records import (
-    CLASS_ANY, CLASS_IN, Name, ResourceRecord, TYPE_AXFR, TYPE_IXFR, TYPE_SOA,
-    parse_name,
-)
-from .server import UPDATE_TOKEN_KEY, update_token_record
+from .records import CLASS_ANY, Name, ResourceRecord, SOA, TYPE_AXFR, TYPE_IXFR, TYPE_SOA
+from .server import REGISTER_LABEL, pack_registration, update_token_record
 from .wire import Message, OPCODE_UPDATE, Question
 from .zone import txt_pair
 
@@ -27,15 +25,29 @@ class ClientError(OSError):
     pass
 
 
-def _udp_exchange(host: str, port: int, payload: bytes, timeout: float) -> bytes:
+def _udp_exchange(host: str, port: int, query: Message, payload: bytes,
+                  timeout: float) -> Message:
+    """Send one datagram and wait for the reply carrying the query's id and
+    question; any other datagram (a stray or forged reply, or one that
+    does not decode) is dropped and the wait goes on until the timeout."""
+    deadline = time.monotonic() + timeout
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-        sock.settimeout(timeout)
         sock.sendto(payload, (host, port))
-        try:
-            data, _ = sock.recvfrom(65535)
-        except socket.timeout as exc:
-            raise ClientError(f"timeout waiting for {host}:{port}") from exc
-    return data
+        while (left := deadline - time.monotonic()) > 0:
+            sock.settimeout(left)
+            try:
+                data, _ = sock.recvfrom(65535)
+            except socket.timeout:
+                break
+            if data[:2] != payload[:2]:
+                continue
+            try:
+                reply = wire.decode(data)
+            except wire.WireError:
+                continue
+            if reply.questions == query.questions:
+                return reply
+    raise ClientError(f"timeout waiting for {host}:{port}")
 
 
 def _tcp_exchange(host: str, port: int, payload: bytes, timeout: float) -> bytes:
@@ -62,12 +74,11 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 def exchange(msg: Message, host: str, port: int,
              tcp: bool = False, timeout: float = DEFAULT_TIMEOUT) -> Message:
     payload = wire.encode(msg)
-    if tcp:
-        return wire.decode(_tcp_exchange(host, port, payload, timeout))
-    reply = wire.decode(_udp_exchange(host, port, payload, timeout))
-    if reply.tc:
-        reply = wire.decode(_tcp_exchange(host, port, payload, timeout))
-    return reply
+    if not tcp:
+        reply = _udp_exchange(host, port, msg, payload, timeout)
+        if not reply.tc:
+            return reply
+    return wire.decode(_tcp_exchange(host, port, payload, timeout))
 
 
 def query(host: str, port: int, qname: Name, qtype: int,
@@ -90,7 +101,6 @@ def axfr(host: str, port: int, qname: Name,
 
 def ixfr(host: str, port: int, qname: Name, client_serial: int,
          timeout: float = DEFAULT_TIMEOUT) -> Message:
-    from .records import SOA
     soa = ResourceRecord(qname, 0, SOA((), (), client_serial, 0, 0, 0, 0))
     msg = Message(
         id=random.randrange(1 << 16),
@@ -131,7 +141,6 @@ def register_device(
     timeout: float = DEFAULT_TIMEOUT,
 ) -> Message:
     """Register a device by sending the packed-registration UPDATE."""
-    from .server import REGISTER_LABEL, pack_registration
     owner = (REGISTER_LABEL,) + service + zone_name
     record = ResourceRecord(owner, 0, txt_pair("register", pack_registration(reg)))
     return send_update(host, port, zone_name, (record,), secret=secret, timeout=timeout)

@@ -10,8 +10,8 @@ identifiers have their own arithmetic and live in :mod:`semdns.geo`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 from .bits import BitString, b32_decode, b32_encode
 

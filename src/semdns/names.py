@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .bits import BitString, DecodeError, b32_decode, b32_encode
+from .bits import BitString, b32_decode, b32_encode
 from ._ripemd160 import ripemd160
 
 NAME_DIGEST_BITS = 160

@@ -3,14 +3,17 @@
 Names are tuples of lowercase labels, most-specific first, always
 absolute; the root is the empty tuple.  Records carry structured rdata
 (small dataclasses per type) so the zone, the wire codec, and the master
-file all share one representation.
+file all share one representation.  Each rdata class holds everything
+known about its type: the type code, the field limits the wire imposes,
+its wire codec and its master-file text.  Adding a type means one class
+here, listed in ``RDATA_CLASSES``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 Name = tuple[str, ...]
 
@@ -30,27 +33,14 @@ CLASS_IN = 1
 CLASS_NONE = 254
 CLASS_ANY = 255
 
-TYPE_NAMES = {
-    TYPE_A: "A",
-    TYPE_NS: "NS",
-    TYPE_CNAME: "CNAME",
-    TYPE_SOA: "SOA",
-    TYPE_PTR: "PTR",
-    TYPE_TXT: "TXT",
-    TYPE_SRV: "SRV",
-    TYPE_IXFR: "IXFR",
-    TYPE_AXFR: "AXFR",
-    TYPE_ANY: "ANY",
-}
-TYPE_CODES = {v: k for k, v in TYPE_NAMES.items()}
-TYPE_CODES["ALL"] = TYPE_ANY  # dig spelling
+#: TTLs with the top bit set are treated as zero (RFC 2181 §8)
+MAX_TTL = 0x7FFFFFFF
+_U16 = 0xFFFF
+_U32 = 0xFFFFFFFF
 
 
 class RecordError(ValueError):
     pass
-
-
-_LABEL_RE = re.compile(r"^[!-.0-~]{1,63}$")  # printable ascii, no '/', ≤63 bytes
 
 
 def parse_name(text: str) -> Name:
@@ -58,7 +48,12 @@ def parse_name(text: str) -> Name:
     text = text.strip().lower()
     if text in (".", ""):
         return ()
-    labels = tuple(l for l in text.rstrip(".").split("."))
+    dotted = text.rstrip(".")
+    if not dotted.isascii():
+        raise RecordError(f"non-ASCII name {text!r}")
+    if len(dotted) > 253:  # plus a length byte per label and the root label
+        raise RecordError(f"name {text!r} exceeds 255 wire bytes")
+    labels = tuple(dotted.split("."))
     for label in labels:
         if not label or len(label) > 63:
             raise RecordError(f"bad label {label!r} in name {text!r}")
@@ -78,36 +73,86 @@ def is_subdomain(name: Name, ancestor: Name) -> bool:
 
 # ---------------------------------------------------------------------------
 # Rdata
+#
+# Each class names its type code (``rtype``) and how many master-file
+# fields it takes (``nfields``, None for any number), enforces the field
+# limits of the wire when built, and converts itself:
+#   to_wire(w) / from_wire(r, end)  against wire._Writer / wire._Reader,
+#                                   ``end`` being where the rdata stops;
+#   to_text() / from_text(args, name)  master-file fields, ``name``
+#                                   parsing each name field.
+
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_IPV4_RE = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
 
 
 @dataclass(frozen=True)
 class A:
-    address: str  # dotted-quad IPv4
+    address: str  # canonical dotted-quad IPv4: ASCII digits, no leading zeros
+
+    rtype = TYPE_A
+    nfields = 1
 
     def __post_init__(self):
-        parts = self.address.split(".")
-        if len(parts) != 4 or any(not p.isdigit() or int(p) > 255 for p in parts):
+        if _IPV4_RE.fullmatch(self.address) is None:
             raise RecordError(f"bad IPv4 address {self.address!r}")
 
+    def to_wire(self, w) -> None:
+        w.buf += bytes(map(int, self.address.split(".")))
+
+    @classmethod
+    def from_wire(cls, r, end: int) -> "A":
+        return cls("%d.%d.%d.%d" % tuple(r.take(4)))
+
+    def to_text(self) -> str:
+        return self.address
+
+    @classmethod
+    def from_text(cls, args: list[str], name: Callable[[str], Name]) -> "A":
+        return cls(args[0])
+
 
 @dataclass(frozen=True)
-class NS:
+class _Target:
+    """Rdata that is one domain name: NS, CNAME and PTR."""
+
     target: Name
 
+    nfields = 1
 
-@dataclass(frozen=True)
-class CNAME:
-    target: Name
+    def to_wire(self, w) -> None:
+        w.name(self.target)
+
+    @classmethod
+    def from_wire(cls, r, end: int):
+        return cls(r.name())
+
+    def to_text(self) -> str:
+        return name_text(self.target)
+
+    @classmethod
+    def from_text(cls, args: list[str], name: Callable[[str], Name]):
+        return cls(name(args[0]))
 
 
-@dataclass(frozen=True)
-class PTR:
-    target: Name
+class NS(_Target):
+    rtype = TYPE_NS
+
+
+class CNAME(_Target):
+    rtype = TYPE_CNAME
+
+
+class PTR(_Target):
+    rtype = TYPE_PTR
 
 
 @dataclass(frozen=True)
 class TXT:
-    strings: tuple[str, ...]
+    strings: tuple[str, ...]  # latin-1 text, each string at most 255 bytes
+
+    rtype = TYPE_TXT
+    nfields = None
 
     def __post_init__(self):
         for s in self.strings:
@@ -118,6 +163,28 @@ class TXT:
     def text(self) -> str:
         return "".join(self.strings)
 
+    def to_wire(self, w) -> None:
+        buf = w.buf
+        for s in self.strings:
+            data = s.encode("latin-1")
+            buf.append(len(data))
+            buf += data
+
+    @classmethod
+    def from_wire(cls, r, end: int) -> "TXT":
+        strings = []
+        while r.pos < end:
+            strings.append(r.take(r.u8()).decode("latin-1"))
+        return cls(tuple(strings))
+
+    def to_text(self) -> str:
+        return " ".join('"%s"' % s.replace("\\", "\\\\").replace('"', '\\"')
+                        for s in self.strings)
+
+    @classmethod
+    def from_text(cls, args: list[str], name: Callable[[str], Name]) -> "TXT":
+        return cls(tuple(args))
+
 
 @dataclass(frozen=True)
 class SRV:
@@ -125,6 +192,33 @@ class SRV:
     weight: int
     port: int
     target: Name
+
+    rtype = TYPE_SRV
+    nfields = 4
+
+    def __post_init__(self):
+        if not (0 <= self.priority <= _U16 and 0 <= self.weight <= _U16
+                and 0 <= self.port <= _U16):
+            raise RecordError(
+                f"SRV priority {self.priority}, weight {self.weight} and "
+                f"port {self.port} must each be 0..{_U16}")
+
+    def to_wire(self, w) -> None:
+        w.u16(self.priority)
+        w.u16(self.weight)
+        w.u16(self.port)
+        w.name(self.target, compress=False)  # RFC 2782: no compression
+
+    @classmethod
+    def from_wire(cls, r, end: int) -> "SRV":
+        return cls(r.u16(), r.u16(), r.u16(), r.name())
+
+    def to_text(self) -> str:
+        return f"{self.priority} {self.weight} {self.port} {name_text(self.target)}"
+
+    @classmethod
+    def from_text(cls, args: list[str], name: Callable[[str], Name]) -> "SRV":
+        return cls(int(args[0]), int(args[1]), int(args[2]), name(args[3]))
 
 
 @dataclass(frozen=True)
@@ -137,11 +231,45 @@ class SOA:
     expire: int
     minimum: int
 
+    rtype = TYPE_SOA
+    nfields = 7
+
+    def __post_init__(self):
+        for value in (self.serial, self.refresh, self.retry, self.expire, self.minimum):
+            if not 0 <= value <= _U32:
+                raise RecordError(f"SOA number {value} outside 0..{_U32}")
+
+    def to_wire(self, w) -> None:
+        w.name(self.mname)
+        w.name(self.rname)
+        for value in (self.serial, self.refresh, self.retry, self.expire, self.minimum):
+            w.u32(value)
+
+    @classmethod
+    def from_wire(cls, r, end: int) -> "SOA":
+        return cls(r.name(), r.name(), r.u32(), r.u32(), r.u32(), r.u32(), r.u32())
+
+    def to_text(self) -> str:
+        return (
+            f"{name_text(self.mname)} {name_text(self.rname)} {self.serial} "
+            f"{self.refresh} {self.retry} {self.expire} {self.minimum}"
+        )
+
+    @classmethod
+    def from_text(cls, args: list[str], name: Callable[[str], Name]) -> "SOA":
+        return cls(name(args[0]), name(args[1]), *map(int, args[2:]))
+
 
 Rdata = Union[A, NS, CNAME, PTR, TXT, SRV, SOA]
 
-RDATA_TYPE = {A: TYPE_A, NS: TYPE_NS, CNAME: TYPE_CNAME, PTR: TYPE_PTR,
-              TXT: TYPE_TXT, SRV: TYPE_SRV, SOA: TYPE_SOA}
+#: the one table of record types: wire decoding and master-file parsing
+#: both find the rdata class here by type code
+RDATA_CLASSES: dict[int, type] = {cls.rtype: cls for cls in (A, NS, CNAME, SOA, PTR, TXT, SRV)}
+
+TYPE_NAMES = {code: cls.__name__ for code, cls in RDATA_CLASSES.items()}
+TYPE_NAMES.update({TYPE_IXFR: "IXFR", TYPE_AXFR: "AXFR", TYPE_ANY: "ANY"})
+TYPE_CODES = {v: k for k, v in TYPE_NAMES.items()}
+TYPE_CODES["ALL"] = TYPE_ANY  # dig spelling
 
 
 @dataclass(frozen=True)
@@ -151,19 +279,23 @@ class ResourceRecord:
     rdata: Rdata
     rclass: int = CLASS_IN
 
+    def __post_init__(self):
+        if not 0 <= self.ttl <= MAX_TTL:
+            raise RecordError(f"TTL {self.ttl} outside 0..{MAX_TTL}")
+
     @property
     def rtype(self) -> int:
-        return RDATA_TYPE[type(self.rdata)]
+        return self.rdata.rtype
 
     @property
     def type_name(self) -> str:
-        return TYPE_NAMES[self.rtype]
+        return TYPE_NAMES[self.rdata.rtype]
 
     def render(self) -> str:
         """One master-file line."""
         return (
             f"{name_text(self.owner)}\t{self.ttl}\tIN\t{self.type_name}\t"
-            f"{render_rdata(self.rdata)}"
+            f"{self.rdata.to_text()}"
         )
 
 
@@ -175,38 +307,16 @@ def make_txt(text: str, chunk: int = 255) -> TXT:
     ) or ("",))
 
 
-def render_rdata(rdata: Rdata) -> str:
-    if isinstance(rdata, A):
-        return rdata.address
-    if isinstance(rdata, (NS, CNAME, PTR)):
-        return name_text(rdata.target)
-    if isinstance(rdata, TXT):
-        return " ".join('"%s"' % s.replace("\\", "\\\\").replace('"', '\\"')
-                        for s in rdata.strings)
-    if isinstance(rdata, SRV):
-        return f"{rdata.priority} {rdata.weight} {rdata.port} {name_text(rdata.target)}"
-    if isinstance(rdata, SOA):
-        return (
-            f"{name_text(rdata.mname)} {name_text(rdata.rname)} {rdata.serial} "
-            f"{rdata.refresh} {rdata.retry} {rdata.expire} {rdata.minimum}"
-        )
-    raise RecordError(f"cannot render rdata {rdata!r}")
-
-
 # ---------------------------------------------------------------------------
 # Master-file text
 
 
 def export_master_file(origin: Name, records: Iterable[ResourceRecord]) -> str:
     """Canonical master-file text: $ORIGIN, SOA first, rest sorted."""
-    records = list(records)
-    soa = [r for r in records if isinstance(r.rdata, SOA)]
-    rest = sorted(
-        (r for r in records if not isinstance(r.rdata, SOA)),
-        key=lambda r: (tuple(reversed(r.owner)), r.rtype, render_rdata(r.rdata)),
-    )
+    ordered = sorted(records, key=lambda r: (
+        r.rtype != TYPE_SOA, tuple(reversed(r.owner)), r.rtype, r.rdata.to_text()))
     lines = [f"$ORIGIN {name_text(origin)}"]
-    lines += [r.render() for r in soa + rest]
+    lines += [r.render() for r in ordered]
     return "\n".join(lines) + "\n"
 
 
@@ -214,54 +324,54 @@ def import_master_file(text: str) -> tuple[Name, list[ResourceRecord]]:
     origin: Name = ()
     records = []
     names: dict[str, Name] = {}  # one tuple per spelling, shared by every record
+
+    def name(spelling: str) -> Name:
+        parsed = names.get(spelling)
+        if parsed is None:
+            parsed = names[spelling] = parse_name(spelling)
+        return parsed
+
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith(";"):
             continue
-        if line.startswith("$ORIGIN"):
-            origin = parse_name(line.split(None, 1)[1])
-            continue
         try:
-            records.append(_parse_record_line(line, names))
-        except (RecordError, ValueError, IndexError) as exc:
+            if line.startswith("$ORIGIN"):
+                fields = line.split()
+                if len(fields) != 2:
+                    raise RecordError("$ORIGIN takes one name")
+                origin = parse_name(fields[1])
+            else:
+                records.append(parse_record_line(line, name))
+        except RecordError as exc:
             raise RecordError(f"master file line {lineno}: {exc}") from exc
     return origin, records
 
 
-def _parse_record_line(line: str, names: dict[str, Name] | None = None) -> ResourceRecord:
-    if names is None:
-        names = {}
+def parse_record_line(line: str, name: Callable[[str], Name] = parse_name) -> ResourceRecord:
+    """One master-file record: owner, TTL, class IN, type, rdata fields.
 
-    def name(text: str) -> Name:
-        parsed = names.get(text)
-        if parsed is None:
-            parsed = names[text] = parse_name(text)
-        return parsed
-
+    ``name`` parses each name field; an importer passes a memo so that
+    records share their name tuples.
+    """
     fields = _tokenize(line)
-    owner = name(fields[0])
-    ttl = int(fields[1])
+    if len(fields) < 4:
+        raise RecordError("a record needs an owner, a TTL, a class and a type")
     if fields[2].upper() != "IN":
         raise RecordError(f"unsupported class {fields[2]!r}")
     rtype = fields[3].upper()
+    cls = RDATA_CLASSES.get(TYPE_CODES.get(rtype))
+    if cls is None:
+        raise RecordError(f"unsupported record type {fields[3]!r}")
     args = fields[4:]
-    if rtype == "A":
-        rdata: Rdata = A(args[0])
-    elif rtype == "NS":
-        rdata = NS(name(args[0]))
-    elif rtype == "CNAME":
-        rdata = CNAME(name(args[0]))
-    elif rtype == "PTR":
-        rdata = PTR(name(args[0]))
-    elif rtype == "TXT":
-        rdata = TXT(tuple(args))
-    elif rtype == "SRV":
-        rdata = SRV(int(args[0]), int(args[1]), int(args[2]), name(args[3]))
-    elif rtype == "SOA":
-        rdata = SOA(name(args[0]), name(args[1]), *map(int, args[2:7]))
-    else:
-        raise RecordError(f"unsupported record type {rtype!r}")
-    return ResourceRecord(owner, ttl, rdata)
+    if cls.nfields is not None and len(args) != cls.nfields:
+        raise RecordError(f"{rtype} takes {cls.nfields} fields, found {len(args)}")
+    try:
+        return ResourceRecord(name(fields[0]), int(fields[1]), cls.from_text(args, name))
+    except RecordError:
+        raise
+    except ValueError as exc:  # a number field that is not an integer
+        raise RecordError(str(exc)) from None
 
 
 # a double-quoted string (backslash escapes any character), a bare word

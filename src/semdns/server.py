@@ -21,9 +21,9 @@ from typing import Optional
 
 from . import wire
 from .records import (
-    CLASS_NONE, CLASS_ANY, Name, PTR, ResourceRecord,
+    CLASS_NONE, CLASS_ANY, Name, PTR, RecordError, ResourceRecord,
     TYPE_ANY, TYPE_AXFR, TYPE_CNAME, TYPE_IXFR, TYPE_PTR, TYPE_SOA, TYPE_TXT,
-    is_subdomain, name_text,
+    is_subdomain, name_text, parse_name,
 )
 from .wire import (
     Message, OPCODE_QUERY, OPCODE_UPDATE,
@@ -49,9 +49,7 @@ MAX_STREAM_MESSAGE = 0xFFFF
 class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 5300
-    zone_file: Optional[str] = None
     journal_file: Optional[str] = None
-    byte_cap: int = wire.MAX_UDP_PAYLOAD
     update_secret: Optional[str] = None
     allowed_sources: Optional[tuple[str, ...]] = None  # None: any source
 
@@ -205,7 +203,8 @@ def handle_update(
                 zone.delete_txt(rr.owner, key)
             else:
                 zone.update_txt(rr.owner, key, txt_value(rr.rdata), ttl=rr.ttl)
-    except SizeGuardError as exc:
+    except (SizeGuardError, RecordError) as exc:
+        # a record the wire cannot carry, or one too big for a datagram
         log.warning("refused UPDATE: %s", exc)
         return msg.reply(rcode=RCODE_REFUSED, additional=())
     except ZoneError as exc:
@@ -232,7 +231,6 @@ def pack_registration(reg: DeviceRegistration) -> str:
 
 
 def _parse_registration(value: str) -> DeviceRegistration:
-    from .records import parse_name
     fields: dict[str, str] = {}
     txt: list[tuple[str, str]] = []
     for part in value.split(";"):
@@ -272,7 +270,6 @@ def _authorized(msg: Message, config: ServerConfig, source: Optional[str]) -> bo
 
 def update_token_record(secret: str, owner: Name = ()) -> ResourceRecord:
     """The additional-section record clients attach to authenticate."""
-    from .zone import txt_pair
     return ResourceRecord(owner, 0, txt_pair(UPDATE_TOKEN_KEY, secret))
 
 
@@ -304,7 +301,7 @@ def dispatch(data: bytes, zone: Zone, config: ServerConfig,
         log.exception("query handling failed")
         reply = msg.reply(rcode=RCODE_SERVFAIL)
     payload = wire.encode(reply)
-    if not stream and len(payload) > config.byte_cap:
+    if not stream and len(payload) > wire.MAX_UDP_PAYLOAD:
         # too big for a datagram: empty truncated reply, client retries on stream
         payload = wire.encode(reply.reply(tc=True))
     elif stream and len(payload) > MAX_STREAM_MESSAGE:
@@ -551,14 +548,3 @@ def _bind_pair(host: str, port: int) -> tuple[socket.socket, socket.socket]:
             if not attempts_left:
                 raise
 
-
-def run(config: ServerConfig, zone: Optional[Zone] = None) -> DnsServer:
-    """Build the zone from config paths and start serving."""
-    if zone is None:
-        if not config.zone_file:
-            raise ValueError("config needs a zone file when no zone is given")
-        with open(config.zone_file, encoding="utf-8") as fh:
-            zone = Zone.from_master_file(fh.read())
-    server = DnsServer(zone, config)
-    server.start()
-    return server

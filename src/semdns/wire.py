@@ -1,20 +1,20 @@
-"""DNS wire format: message framing, name compression, rdata codecs.
+"""DNS wire format: message framing and name compression.
 
 Covers exactly what an authoritative IoT-discovery service needs: QUERY
-and UPDATE opcodes; A, NS, CNAME, SOA, PTR, TXT and SRV rdata; AXFR/IXFR
-qtypes.  Compression pointers are always accepted on input and emitted
-for owner names and compressible rdata names on output.
+and UPDATE opcodes, AXFR/IXFR qtypes, and the rdata types in
+``records.RDATA_CLASSES``, whose classes read and write their own rdata
+through the writer and reader here.  Compression pointers are always
+accepted on input and emitted for owner names and compressible rdata
+names on output.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .records import (
-    A, CNAME, CLASS_IN, NS, PTR, SOA, SRV, TXT,
-    Name, Rdata, RecordError, ResourceRecord,
-    TYPE_A, TYPE_CNAME, TYPE_NS, TYPE_PTR, TYPE_SOA, TYPE_SRV, TYPE_TXT,
+    CLASS_IN, MAX_TTL, RDATA_CLASSES, Name, Rdata, ResourceRecord,
 )
 
 OPCODE_QUERY = 0
@@ -99,7 +99,12 @@ class _Writer:
                 return
             if len(self.buf) < 0x3FFF:
                 self.offsets[suffix] = len(self.buf)
-            label = name[i].encode("ascii")
+            try:
+                label = name[i].encode("ascii")
+            except UnicodeEncodeError:
+                raise WireError(f"non-ASCII label {name[i]!r}") from None
+            if not 0 < len(label) <= 63:
+                raise WireError(f"label {name[i]!r} is not 1..63 bytes")
             self.u8(len(label))
             self.buf += label
         self.u8(0)
@@ -107,29 +112,8 @@ class _Writer:
     def rdata(self, rdata: Rdata):
         start_pos = len(self.buf)
         self.u16(0)  # rdlength placeholder
-        begin = len(self.buf)
-        if isinstance(rdata, A):
-            self.buf += bytes(int(p) for p in rdata.address.split("."))
-        elif isinstance(rdata, (NS, CNAME, PTR)):
-            self.name(rdata.target)
-        elif isinstance(rdata, TXT):
-            for s in rdata.strings:
-                data = s.encode("latin-1")
-                self.u8(len(data))
-                self.buf += data
-        elif isinstance(rdata, SRV):
-            self.u16(rdata.priority)
-            self.u16(rdata.weight)
-            self.u16(rdata.port)
-            self.name(rdata.target, compress=False)  # RFC 2782: no compression
-        elif isinstance(rdata, SOA):
-            self.name(rdata.mname)
-            self.name(rdata.rname)
-            for v in (rdata.serial, rdata.refresh, rdata.retry, rdata.expire, rdata.minimum):
-                self.u32(v)
-        else:
-            raise WireError(f"cannot encode rdata {rdata!r}")
-        struct.pack_into("!H", self.buf, start_pos, len(self.buf) - begin)
+        rdata.to_wire(self)
+        struct.pack_into("!H", self.buf, start_pos, len(self.buf) - start_pos - 2)
 
 
 def encode(msg: Message) -> bytes:
@@ -237,23 +221,10 @@ class _Reader:
         rdlength = self.u16()
         end = self.pos + rdlength
         self.need(rdlength)
-        if rtype == TYPE_A:
-            rdata: Rdata = A(".".join(str(b) for b in self.take(4)))
-        elif rtype in (TYPE_NS, TYPE_CNAME, TYPE_PTR):
-            target = self.name()
-            rdata = {TYPE_NS: NS, TYPE_CNAME: CNAME, TYPE_PTR: PTR}[rtype](target)
-        elif rtype == TYPE_TXT:
-            strings = []
-            while self.pos < end:
-                strings.append(self.take(self.u8()).decode("latin-1"))
-            rdata = TXT(tuple(strings))
-        elif rtype == TYPE_SRV:
-            rdata = SRV(self.u16(), self.u16(), self.u16(), self.name())
-        elif rtype == TYPE_SOA:
-            rdata = SOA(self.name(), self.name(), self.u32(), self.u32(),
-                        self.u32(), self.u32(), self.u32())
-        else:
+        cls = RDATA_CLASSES.get(rtype)
+        if cls is None:
             raise WireError(f"unsupported rdata type {rtype}")
+        rdata = cls.from_wire(self, end)
         if self.pos != end:
             raise WireError(f"rdata length mismatch for type {rtype}")
         return rdata
@@ -275,6 +246,8 @@ def decode(data: bytes) -> Message:
             rtype = r.u16()
             rclass = r.u16()
             ttl = r.u32()
+            if ttl > MAX_TTL:
+                ttl = 0
             out.append(ResourceRecord(owner, ttl, r.rdata(rtype), rclass=rclass))
         return tuple(out)
 

@@ -18,16 +18,17 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import wire
 from .bits import ALPHABET
 from .records import (
-    A, CNAME, NS, PTR, SOA, SRV, TXT,
-    Name, RecordError, ResourceRecord,
-    TYPE_CNAME, TYPE_NS, TYPE_PTR, TYPE_SOA, TYPE_SRV, TYPE_TXT,
-    export_master_file, import_master_file, make_txt, name_text, parse_name,
+    CNAME, NS, PTR, SOA, SRV, TXT,
+    Name, ResourceRecord,
+    TYPE_CNAME, TYPE_NS, TYPE_PTR, TYPE_SOA, TYPE_TXT,
+    export_master_file, import_master_file, is_subdomain, make_txt, name_text,
+    parse_record_line,
 )
 
 DEFAULT_SERVICE: Name = ("_iot", "_udp")
@@ -41,7 +42,8 @@ class ZoneError(ValueError):
 
 
 class SizeGuardError(ZoneError):
-    """Record would push a datagram response past the byte cap."""
+    """Record cannot go in a datagram response: past the byte cap, or not
+    encodable at all (such as an owner name over 255 wire bytes)."""
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,6 @@ class Zone:
             ]
 
     def subtree(self, apex: Name) -> list[ResourceRecord]:
-        from .records import is_subdomain
         with self._lock:
             return [r for r in self._records if is_subdomain(r.owner, apex)]
 
@@ -212,7 +213,9 @@ class Zone:
         """Add the SRV/PTR/TXT records for a device.
 
         Returns (changed, instance owner name).  Re-registering an
-        identical device is a no-op with changed=False.
+        identical device is a no-op with changed=False.  Raises
+        RecordError for a field the wire cannot carry and SizeGuardError
+        for a record no datagram answer can hold; nothing is added then.
         """
         if not reg.instance or not reg.target:
             raise ZoneError("instance and target must be nonempty")
@@ -225,6 +228,8 @@ class Zone:
         ]
         for key, value in reg.txt:
             wanted.append(ResourceRecord(owner, ttl, txt_pair(key, value)))
+        for record in wanted:
+            _check_size_guard(record)
         with self._lock:
             additions = [rr for rr in wanted if rr not in self._records]
             if not additions:
@@ -426,7 +431,10 @@ def _check_size_guard(record: ResourceRecord) -> None:
         questions=(wire.Question(record.owner, record.rtype),),
         answers=(record,),
     )
-    size = len(wire.encode(probe))
+    try:
+        size = len(wire.encode(probe))
+    except wire.WireError as exc:
+        raise SizeGuardError(f"record cannot be encoded: {exc}") from None
     if size > SIZE_GUARD_BYTES:
         raise SizeGuardError(
             f"record response would be {size} bytes, over the {SIZE_GUARD_BYTES}-byte cap"
@@ -497,12 +505,11 @@ def journal_entry_to_json(entry: JournalEntry) -> str:
 
 
 def journal_entry_from_json(line: str) -> JournalEntry:
-    from .records import _parse_record_line
     obj = json.loads(line)
     return JournalEntry(
         obj["serial"],
-        tuple(_parse_record_line(l) for l in obj["del"]),
-        tuple(_parse_record_line(l) for l in obj["add"]),
+        tuple(parse_record_line(l) for l in obj["del"]),
+        tuple(parse_record_line(l) for l in obj["add"]),
     )
 
 

@@ -1,0 +1,61 @@
+"""Source hygiene for the package: imports sit at module level and are used.
+
+A function-level import hides a dependency (or an import cycle) from the
+reader of the module header, and an imported name nothing uses is dead
+code.  ``__init__.py`` imports names to re-export them, so only the
+first rule applies to it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "semdns"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def function_level_imports(tree: ast.Module) -> list[str]:
+    found = {}  # an import in a nested function is named once, by the outermost
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.setdefault(node.lineno, f"line {node.lineno} in {fn.name}()")
+    return [found[line] for line in sorted(found)]
+
+
+def unused_imported_names(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            imported[bound] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_level_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert function_level_imports(tree) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert unused_imported_names(tree) == []
+
+
+def test_checks_catch_what_they_look_for():
+    tree = ast.parse(
+        "import os\nfrom typing import Optional, Any\n"
+        "def f() -> Optional[int]:\n    import sys\n    return sys.maxsize\n"
+    )
+    assert function_level_imports(tree) == ["line 4 in f()"]
+    assert unused_imported_names(tree) == ["os (line 1)", "Any (line 2)"]

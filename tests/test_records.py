@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_wire import records as wire_records
 
 from semdns.records import (
     A, CNAME, NS, PTR, RecordError, ResourceRecord, SOA, SRV, TXT,
@@ -82,6 +85,13 @@ class TestMasterFile:
         _, back = import_master_file(export_master_file((), [record]))
         assert back == [record]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(wire_records, max_size=6))
+    def test_round_trip_any_records(self, records):
+        origin, back = import_master_file(export_master_file((), records))
+        assert origin == ()
+        assert Counter(back) == Counter(records)
+
     def test_rejects_garbage(self):
         with pytest.raises(RecordError):
             import_master_file("not a record line at all\n")
@@ -89,6 +99,26 @@ class TestMasterFile:
     def test_rejects_unknown_type(self):
         with pytest.raises(RecordError):
             import_master_file("x. 60 IN MX 10 mail.example.\n")
+
+    @pytest.mark.parametrize("line", [
+        "x. 100 IN SOA ns. hostmaster. 1 7200 900",
+        "x. 100 IN A 1.2.3.4 junk",
+        "x. 100 IN SRV 70000 20 8080 h.example.",
+        "x. 100 IN SRV 10 20 8080",
+        "x. -5 IN A 1.2.3.4",
+        "x. 100 IN A 001.2.3.4",
+        "x. 100 IN A 1.2.3.٤",
+        "x. 100 IN SOA ns. hostmaster. 1 7200 900 86400 4294967296",
+        ".".join(["a" * 63] * 4) + ". 100 IN A 1.2.3.4",
+        "x. 100 IN CNAME",
+        "x. ten IN A 1.2.3.4",
+        "x. 100 IN",
+    ], ids=["short-soa", "extra-field", "srv-port-over-u16", "short-srv", "negative-ttl",
+            "a-leading-zero", "a-non-ascii-digit", "soa-over-u32",
+            "name-over-255-bytes", "cname-no-target", "ttl-not-a-number", "no-type"])
+    def test_rejects_malformed_rdata_naming_the_line(self, line):
+        with pytest.raises(RecordError, match="line 2"):
+            import_master_file("$ORIGIN .\n" + line + "\n")
 
 
 def reference_tokenize(line: str) -> list[str]:

@@ -307,6 +307,32 @@ class TestUpdate:
         msg = Message(id=1, questions=(Question((), TYPE_SOA),))
         assert handle_update(msg, fixture_zone, ServerConfig(port=0)).rcode == RCODE_NOTIMP
 
+    @pytest.mark.parametrize("reg", [
+        DeviceRegistration("pressure", "dr78", 70000, parse_name("dr78.unipr.it")),
+        DeviceRegistration("pressure", "dr78", 9000, parse_name("dr78.unipr.it"), ttl=-1),
+        DeviceRegistration("pressure", "dr78", 9000, parse_name("dr78.unipr.it"), ttl=2**31),
+        # 60 four-symbol labels: an owner name of over 300 wire bytes
+        DeviceRegistration("pressure", "dr78" * 60, 9000, parse_name("dr78.unipr.it")),
+        DeviceRegistration("p" * 64, "dr78", 9000, parse_name("dr78.unipr.it")),
+        DeviceRegistration("café", "dr78", 9000, parse_name("dr78.unipr.it")),
+    ], ids=["port-70000", "ttl-minus-1", "ttl-2^31", "owner-over-255-bytes",
+            "label-over-63-bytes", "non-ascii-label"])
+    def test_unencodable_registration_refused_and_zone_still_transfers(
+            self, fixture_zone, reg):
+        owner = (REGISTER_LABEL,) + fixture_zone.service
+        rr = ResourceRecord(owner, 0, txt_pair("register", pack_registration(reg)))
+        before = fixture_zone.serial
+        config = ServerConfig(port=0)
+        reply = wire.decode(dispatch(wire.encode(update_msg([rr])), fixture_zone, config,
+                                     stream=True, source="127.0.0.1"))
+        assert reply.rcode != RCODE_NOERROR
+        assert fixture_zone.serial == before
+        axfr = Message(id=2, questions=(Question((), TYPE_AXFR),))
+        transfer = wire.decode(dispatch(wire.encode(axfr), fixture_zone, config,
+                                        stream=True, source="127.0.0.1"))
+        assert transfer.rcode == RCODE_NOERROR
+        assert len(transfer.answers) == len(fixture_zone.records()) + 2
+
 
 @pytest.fixture(scope="module")
 def large_zone():

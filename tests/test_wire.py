@@ -70,6 +70,20 @@ def test_name_too_long_rejected():
         encode(msg)
 
 
+@pytest.mark.parametrize("name", [("x" * 64, "com"), ("a", "", "com"), ("café",)])
+def test_unencodable_label_rejected(name):
+    msg = Message(answers=(ResourceRecord(name, 60, A("1.2.3.4")),))
+    with pytest.raises(WireError):
+        encode(msg)
+
+
+def test_ttl_with_top_bit_set_reads_as_zero():
+    data = bytearray(encode(Message(answers=(ResourceRecord(("a",), 60, A("1.2.3.4")),))))
+    ttl_at = 12 + 3 + 4  # header, owner name "a", type and class
+    data[ttl_at:ttl_at + 4] = (2**31).to_bytes(4, "big")
+    assert decode(bytes(data)).answers[0].ttl == 0
+
+
 def test_compression_reduces_size_and_round_trips():
     owner = parse_name("temperature.dr56._iot._udp.example.org")
     msg = Message(
