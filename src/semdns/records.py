@@ -86,7 +86,7 @@ _OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _IPV4_RE = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class A:
     address: str  # canonical dotted-quad IPv4: ASCII digits, no leading zeros
 
@@ -112,7 +112,7 @@ class A:
         return cls(args[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Target:
     """Rdata that is one domain name: NS, CNAME and PTR."""
 
@@ -136,18 +136,21 @@ class _Target:
 
 
 class NS(_Target):
+    __slots__ = ()
     rtype = TYPE_NS
 
 
 class CNAME(_Target):
+    __slots__ = ()
     rtype = TYPE_CNAME
 
 
 class PTR(_Target):
+    __slots__ = ()
     rtype = TYPE_PTR
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TXT:
     strings: tuple[str, ...]  # latin-1 text, each string at most 255 bytes
 
@@ -186,7 +189,7 @@ class TXT:
         return cls(tuple(args))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SRV:
     priority: int
     weight: int
@@ -221,7 +224,7 @@ class SRV:
         return cls(int(args[0]), int(args[1]), int(args[2]), name(args[3]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SOA:
     mname: Name
     rname: Name
@@ -272,7 +275,7 @@ TYPE_CODES = {v: k for k, v in TYPE_NAMES.items()}
 TYPE_CODES["ALL"] = TYPE_ANY  # dig spelling
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceRecord:
     owner: Name
     ttl: int
@@ -324,11 +327,13 @@ def import_master_file(text: str) -> tuple[Name, list[ResourceRecord]]:
     origin: Name = ()
     records = []
     names: dict[str, Name] = {}  # one tuple per spelling, shared by every record
+    labels: dict[str, str] = {}  # one string per label, shared by every name
 
     def name(spelling: str) -> Name:
         parsed = names.get(spelling)
         if parsed is None:
-            parsed = names[spelling] = parse_name(spelling)
+            parsed = parse_name(spelling)
+            parsed = names[spelling] = tuple(map(labels.setdefault, parsed, parsed))
         return parsed
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -340,7 +345,7 @@ def import_master_file(text: str) -> tuple[Name, list[ResourceRecord]]:
                 fields = line.split()
                 if len(fields) != 2:
                     raise RecordError("$ORIGIN takes one name")
-                origin = parse_name(fields[1])
+                origin = name(fields[1])
             else:
                 records.append(parse_record_line(line, name))
         except RecordError as exc:

@@ -188,12 +188,18 @@ def handle_update(
         key = txt_key(rr.rdata)
         if key is None:
             return msg.reply(rcode=RCODE_REFUSED, additional=())
-        ops.append((rr, key))
+        reg = None
+        if rr.owner == register_owner:
+            try:
+                reg = _parse_registration(txt_value(rr.rdata))
+            except ZoneError as exc:
+                log.warning("malformed UPDATE: %s", exc)
+                return msg.reply(rcode=RCODE_FORMERR, additional=())
+        ops.append((rr, key, reg))
     status: list[ResourceRecord] = []
     try:
-        for rr, key in ops:
-            if rr.owner == register_owner:
-                reg = _parse_registration(txt_value(rr.rdata))
+        for rr, key, reg in ops:
+            if reg is not None:
                 changed, owner = zone.register_device(reg)
                 status.append(ResourceRecord(
                     owner, 0,
@@ -231,6 +237,7 @@ def pack_registration(reg: DeviceRegistration) -> str:
 
 
 def _parse_registration(value: str) -> DeviceRegistration:
+    """The registration packed in one TXT value; ZoneError if malformed."""
     fields: dict[str, str] = {}
     txt: list[tuple[str, str]] = []
     for part in value.split(";"):
@@ -242,7 +249,7 @@ def _parse_registration(value: str) -> DeviceRegistration:
         else:
             fields[k] = v
     try:
-        return DeviceRegistration(
+        reg = DeviceRegistration(
             instance=fields["instance"],
             identifier=fields["id"],
             port=int(fields["port"]),
@@ -253,7 +260,10 @@ def _parse_registration(value: str) -> DeviceRegistration:
             ttl=int(fields["ttl"]) if "ttl" in fields else None,
         )
     except (KeyError, ValueError) as exc:
-        raise ZoneError(f"malformed registration {value!r}: {exc}") from exc
+        raise ZoneError(f"malformed registration {value!r}: {exc!r}") from exc
+    if not (reg.instance and reg.identifier and reg.target):
+        raise ZoneError(f"malformed registration {value!r}: empty instance, id or target")
+    return reg
 
 
 def _authorized(msg: Message, config: ServerConfig, source: Optional[str]) -> bool:

@@ -4,13 +4,31 @@ The zone is the single source of truth the server answers from.  Every
 mutation (device registration, TXT data update, CNAME fan-out) goes
 through one writer path that bumps the SOA serial and appends a diff to
 the change journal, so incremental transfers can replay any retained
-serial.  Reads copy under the same lock; there are no torn snapshots.
+serial.  Serials follow RFC 1982 arithmetic: they wrap from 2**32-1 to 0.
+Reads copy under the same lock; there are no torn snapshots.
 
 Device discovery follows DNS-SD: registration stores an SRV (and
 optional TXT data) at ``<instance>.<identifier labels>.<service>`` plus
-a PTR from the identifier subdomain to the instance.  Prefix queries are
-answered by scanning the subtree at query time -- shorter identifier
+a PTR from the identifier subdomain to the instance.  Shorter identifier
 prefixes simply match more devices.
+
+Records live in one insertion-ordered list (AXFR and export order) and
+three read indexes that the writer path keeps current:
+
+- an owner map, name -> that name's records in list order, which serves
+  ``records_at``, CNAME chasing and the TXT store;
+- child counts, name -> how many of its child names are live (hold
+  records, or have a live name below them), so ``has_owner`` answers
+  empty non-terminals and NXDOMAIN in O(1).  Counting live children
+  rather than every owner below lets an update stop at the first
+  ancestor that was already live;
+- a sorted list of (identifier, instance) for every PTR under
+  ``<service>.<origin>``, which ``ptr_discover`` bisects: a prefix
+  browse costs O(log N + k) for k matches.
+
+Three paths still scan the list: the duplicate check in
+``register_device``, the removal of deleted records in ``_mutate`` and
+``subtree`` (AXFR below the apex).
 """
 
 from __future__ import annotations
@@ -18,6 +36,7 @@ from __future__ import annotations
 import itertools
 import json
 import threading
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -35,6 +54,7 @@ DEFAULT_SERVICE: Name = ("_iot", "_udp")
 DEFAULT_TTL = 100  # discovery records
 DEFAULT_JOURNAL_RETENTION = 1024
 SIZE_GUARD_BYTES = wire.MAX_UDP_PAYLOAD
+_SERIAL_MOD = 1 << 32
 
 
 class ZoneError(ValueError):
@@ -120,6 +140,11 @@ class Zone:
         self._soa_params = (mname, rname, refresh, retry, expire, minimum)
         self._serial = serial
         self._records: list[ResourceRecord] = []
+        # the read indexes (see the module docstring); only the writer
+        # path and from_master_file change them
+        self._owners: dict[Name, tuple[ResourceRecord, ...]] = {}
+        self._below: dict[Name, int] = {}
+        self._ptrs: list[tuple[str, Name]] = []
         self._journal: list[JournalEntry] = []
         self._lock = threading.RLock()
         # set by the service to persist diffs as they happen
@@ -150,10 +175,10 @@ class Zone:
 
     def records_at(self, owner: Name, rtype: Optional[int] = None) -> list[ResourceRecord]:
         with self._lock:
-            return [
-                r for r in self._records
-                if r.owner == owner and (rtype is None or r.rtype == rtype)
-            ]
+            here = self._owners.get(owner, ())
+            if rtype is None:
+                return list(here)
+            return [r for r in here if r.rdata.rtype == rtype]
 
     def subtree(self, apex: Name) -> list[ResourceRecord]:
         with self._lock:
@@ -163,11 +188,7 @@ class Zone:
         if owner == self.origin:
             return True
         with self._lock:
-            return any(
-                r.owner == owner or r.owner[-len(owner):] == owner
-                for r in self._records
-                if len(r.owner) >= len(owner)
-            )
+            return owner in self._owners or owner in self._below
 
     def journal(self) -> list[JournalEntry]:
         with self._lock:
@@ -186,8 +207,11 @@ class Zone:
                     self._records.remove(rr)
                 except ValueError:
                     raise ZoneError(f"cannot delete missing record {rr.render()}") from None
+                self._unindex(rr)
             self._records.extend(additions)
-            self._serial += 1
+            for rr in additions:
+                self._index(rr)
+            self._serial = (self._serial + 1) % _SERIAL_MOD
             entry = JournalEntry(self._serial, tuple(deletions), tuple(additions))
             self._journal.append(entry)
             if len(self._journal) > self.journal_retention:
@@ -195,6 +219,74 @@ class Zone:
             if self.on_mutate is not None:
                 self.on_mutate(entry)
             return entry
+
+    def _index(self, rr: ResourceRecord) -> None:
+        here = self._owners.get(rr.owner)
+        if here is None:
+            self._link(rr.owner)
+            self._owners[rr.owner] = (rr,)
+        else:
+            self._owners[rr.owner] = here + (rr,)
+        ptr = self._ptr_entry(rr)
+        if ptr is not None:
+            insort(self._ptrs, ptr)
+
+    def _unindex(self, rr: ResourceRecord) -> None:
+        here = self._owners[rr.owner]
+        i = here.index(rr)
+        if len(here) > 1:
+            self._owners[rr.owner] = here[:i] + here[i + 1:]
+        else:
+            del self._owners[rr.owner]
+            self._unlink(rr.owner)
+        ptr = self._ptr_entry(rr)
+        if ptr is not None:
+            del self._ptrs[bisect_left(self._ptrs, ptr)]
+
+    def _link(self, name: Name) -> None:
+        """``name`` is about to get its first record.  Unless a live name
+        below already made it live, count it at its parent, and go on up
+        while the parent was not live either."""
+        below, owners = self._below, self._owners
+        if name in below:
+            return
+        while len(name) > 1:
+            parent = name[1:]
+            count = below.get(parent, 0)
+            # a new key takes the owner map's tuple for the name, if any
+            below[parent if count else self._known(parent)] = count + 1
+            if count or parent in owners:
+                return
+            name = parent
+
+    def _unlink(self, name: Name) -> None:
+        """``name`` has lost its last record: undo what _link counted."""
+        below, owners = self._below, self._owners
+        if name in below:
+            return
+        while len(name) > 1:
+            parent = name[1:]
+            count = below[parent] - 1
+            if count:
+                below[parent] = count
+                return
+            del below[parent]
+            if parent in owners:
+                return
+            name = parent
+
+    def _ptr_entry(self, rr: ResourceRecord) -> Optional[tuple[str, Name]]:
+        """The ``_ptrs`` entry of a PTR under <service>.<origin>, else None."""
+        if rr.rdata.rtype != TYPE_PTR:
+            return None
+        ident = self._identifier_of(rr.owner)
+        return None if ident is None else (ident, rr.rdata.target)
+
+    def _known(self, name: Name) -> Name:
+        """The tuple the owner map already holds for ``name``, else ``name``:
+        records built by the zone share the name tuples it indexes."""
+        here = self._owners.get(name)
+        return here[0].owner if here else name
 
     def add_record(self, record: ResourceRecord) -> JournalEntry:
         """Generic record insertion (fixtures, glue A records, TLSA-style data)."""
@@ -220,10 +312,12 @@ class Zone:
         if not reg.instance or not reg.target:
             raise ZoneError("instance and target must be nonempty")
         ttl = reg.ttl if reg.ttl is not None else self.default_ttl
-        owner = self.instance_owner(reg)
-        id_owner = self.identifier_owner(reg.identifier)
+        with self._lock:
+            id_owner = self._known(self.identifier_owner(reg.identifier))
+            owner = self._known((reg.instance,) + id_owner)
+            target = self._known(reg.target)
         wanted = [
-            ResourceRecord(owner, ttl, SRV(reg.priority, reg.weight, reg.port, reg.target)),
+            ResourceRecord(owner, ttl, SRV(reg.priority, reg.weight, reg.port, target)),
             ResourceRecord(id_owner, ttl, PTR(owner)),
         ]
         for key, value in reg.txt:
@@ -243,9 +337,9 @@ class Zone:
         """Set ``key=value`` data at an owner, replacing any previous value."""
         rdata = txt_pair(key, value)
         ttl = ttl if ttl is not None else self.default_ttl
-        record = ResourceRecord(owner, ttl, rdata)
-        _check_size_guard(record)
         with self._lock:
+            record = ResourceRecord(self._known(owner), ttl, rdata)
+            _check_size_guard(record)
             old = [
                 r for r in self.records_at(owner, TYPE_TXT)
                 if txt_key(r.rdata) == key
@@ -267,29 +361,25 @@ class Zone:
     def ptr_discover(self, qname: Name) -> set[Name]:
         """Instance names for every device whose identifier extends the
         prefix spelled by ``qname``.  Underscore-prefixed identifier
-        labels are accepted and CNAME aliases are chased first.  One
-        pass over the zone collects both the aliases and the pointers."""
-        aliases: dict[Name, Name] = {}
-        pointers: list[tuple[str, Name]] = []
+        labels are accepted and CNAME aliases are chased first.  The
+        matches are one slice of the sorted PTR index."""
         with self._lock:
-            for r in self._records:
-                rtype = r.rtype
-                if rtype == TYPE_PTR:
-                    ident = self._identifier_of(r.owner)
-                    if ident is not None:
-                        pointers.append((ident, r.rdata.target))
-                elif rtype == TYPE_CNAME:
-                    aliases.setdefault(r.owner, r.rdata.target)
-        for _ in range(8):
-            if qname not in aliases:
-                break
-            qname = aliases[qname]
-        else:
-            raise ZoneError(f"CNAME chain too long at {name_text(qname)}")
-        prefix = self._identifier_of(qname)
-        if prefix is None:
-            return set()
-        return {target for ident, target in pointers if ident.startswith(prefix)}
+            for _ in range(8):
+                alias = next((r for r in self._owners.get(qname, ())
+                              if r.rdata.rtype == TYPE_CNAME), None)
+                if alias is None:
+                    break
+                qname = alias.rdata.target
+            else:
+                raise ZoneError(f"CNAME chain too long at {name_text(qname)}")
+            prefix = self._identifier_of(qname)
+            if prefix is None:
+                return set()
+            # identifiers are ASCII, so every extension of prefix sorts below this bound
+            ptrs = self._ptrs
+            lo = bisect_left(ptrs, (prefix,))
+            hi = bisect_left(ptrs, (prefix + "\U0010ffff",), lo)
+            return {target for _, target in ptrs[lo:hi]}
 
     def _identifier_of(self, name: Name) -> Optional[str]:
         """Join the identifier chunks of a name under <service>.<origin>,
@@ -356,11 +446,11 @@ class Zone:
     def ixfr_diff(self, from_serial: int) -> IxfrDiff:
         with self._lock:
             current = self._serial
-            if from_serial >= current:
+            if from_serial == current or serial_gt(from_serial, current):
                 return IxfrDiff(from_serial, current, ())
-            steps = [e for e in self._journal if e.serial > from_serial]
+            steps = [e for e in self._journal if serial_gt(e.serial, from_serial)]
             # gapless only if the journal still reaches back to from_serial+1
-            if not steps or steps[0].serial != from_serial + 1:
+            if not steps or steps[0].serial != (from_serial + 1) % _SERIAL_MOD:
                 return IxfrDiff(from_serial, current, (), fallback=True)
             return IxfrDiff(from_serial, current, tuple(steps))
 
@@ -389,15 +479,34 @@ class Zone:
             **kwargs,
         )
         zone._records = [r for r in records if r.rtype != TYPE_SOA]
+        zone._build_indexes()
         return zone
+
+    def _build_indexes(self) -> None:
+        """All three read indexes in one pass over the records and one sort."""
+        grouped: dict[Name, list[ResourceRecord]] = {}
+        for rr in self._records:
+            grouped.setdefault(rr.owner, []).append(rr)
+        self._owners, self._below = {}, {}
+        for owner in sorted(grouped, key=len):  # parents first: _link finds their tuples
+            self._link(owner)
+            self._owners[owner] = tuple(grouped[owner])
+        self._ptrs = sorted(filter(None, map(self._ptr_entry, self._records)))
 
     # -- journal persistence -------------------------------------------------
 
     def load_journal(self, entries: Iterable[JournalEntry]) -> None:
         """Adopt persisted history (entries at or below the current serial)."""
         with self._lock:
-            self._journal = [e for e in entries if e.serial <= self._serial]
+            self._journal = [e for e in entries
+                             if e.serial == self._serial or serial_gt(self._serial, e.serial)]
             self._journal = self._journal[-self.journal_retention :]
+
+
+def serial_gt(a: int, b: int) -> bool:
+    """RFC 1982 §3.2: serial ``a`` comes after ``b``.  Two serials 2**31
+    apart are unordered, neither after the other."""
+    return a != b and (a - b) % _SERIAL_MOD < _SERIAL_MOD // 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Source hygiene for the package: imports sit at module level and are used.
+"""Source hygiene for the package: imports sit at module level and are used,
+and the record dataclasses use slots.
 
 A function-level import hides a dependency (or an import cycle) from the
 reader of the module header, and an imported name nothing uses is dead
 code.  ``__init__.py`` imports names to re-export them, so only the
-first rule applies to it.
+first rule applies to it.  A zone holds a record and its rdata per
+resource record, so ``records.py`` keeps them free of a per-instance
+``__dict__``.
 """
 
 import ast
@@ -39,6 +42,23 @@ def unused_imported_names(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def dataclasses_without_slots(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            func = call.func if call else dec
+            if isinstance(func, ast.Name) and func.id == "dataclass":
+                slots = call is not None and any(
+                    k.arg == "slots" and isinstance(k.value, ast.Constant) and k.value.value is True
+                    for k in call.keywords)
+                if not slots:
+                    found.append(node.name)
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_level_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -52,6 +72,11 @@ def test_no_unused_imports(path):
     assert unused_imported_names(tree) == []
 
 
+def test_record_dataclasses_declare_slots():
+    tree = ast.parse((PACKAGE / "records.py").read_text(encoding="utf-8"))
+    assert dataclasses_without_slots(tree) == []
+
+
 def test_checks_catch_what_they_look_for():
     tree = ast.parse(
         "import os\nfrom typing import Optional, Any\n"
@@ -59,3 +84,9 @@ def test_checks_catch_what_they_look_for():
     )
     assert function_level_imports(tree) == ["line 4 in f()"]
     assert unused_imported_names(tree) == ["os (line 1)", "Any (line 2)"]
+    tree = ast.parse(
+        "@dataclass\nclass A: pass\n@dataclass(frozen=True)\nclass B: pass\n"
+        "@dataclass(slots=False)\nclass C: pass\n@dataclass(frozen=True, slots=True)\n"
+        "class D: pass\n"
+    )
+    assert dataclasses_without_slots(tree) == ["A", "B", "C"]

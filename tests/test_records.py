@@ -47,6 +47,15 @@ class TestRdata:
         assert txt.text == "x" * 600
 
 
+    def test_records_carry_no_instance_dict(self):
+        # a zone holds one record and one rdata per resource record
+        target = parse_name("h.example")
+        for value in (A("10.0.0.1"), NS(target), CNAME(target), PTR(target), TXT(("k=v",)),
+                      SRV(10, 20, 80, target), SOA(target, target, 1, 2, 3, 4, 5),
+                      ResourceRecord(target, 100, A("10.0.0.1"))):
+            assert not hasattr(value, "__dict__"), type(value).__name__
+
+
 class TestMasterFile:
     def fixture_records(self):
         return [
@@ -188,3 +197,14 @@ def test_import_shares_name_tuples():
     _, (srv, txt, cname) = import_master_file(text)
     assert srv.owner is txt.owner
     assert srv.rdata.target is cname.rdata.target
+
+
+def test_import_shares_label_strings():
+    text = (
+        "$ORIGIN example.\n"
+        "a.x.example.\t100\tIN\tSRV\t10 20 80 h.example.\n"
+        "x.example.\t100\tIN\tPTR\ta.x.example.\n"
+    )
+    origin, (srv, ptr) = import_master_file(text)
+    assert srv.owner[1] is ptr.owner[0]  # "x" in two spellings
+    assert srv.owner[-1] is srv.rdata.target[-1] is origin[0]

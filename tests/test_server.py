@@ -202,6 +202,29 @@ class TestIxfr:
         texts = [r.rdata.text for r in reply.answers if r.rtype == TYPE_TXT]
         assert texts == ["temperature=14", "temperature=15"]
 
+    def test_serial_wraps_to_zero(self):
+        # RFC 1982: 2**32-2 -> 2**32-1 -> 0
+        start = 2**32 - 2
+        zone = Zone(serial=start)
+        zone.register_device(DeviceRegistration("t", "dr56", 8080, parse_name("h.example")))
+        zone.update_txt(parse_name("t.dr56._iot._udp"), "temperature", "15")
+        assert zone.serial == 0
+        config = ServerConfig(port=0)
+        soa = wire.decode(dispatch(wire.encode(Message(id=3, questions=(Question((), TYPE_SOA),))),
+                                   zone, config, stream=False, source=None))
+        assert soa.rcode == RCODE_NOERROR
+        assert [r.rdata.serial for r in soa.answers] == [0]
+        reply = wire.decode(dispatch(wire.encode(ixfr_query(start)), zone, config,
+                                     stream=True, source=None))
+        assert reply.rcode == RCODE_NOERROR
+        serials = [r.rdata.serial for r in reply.answers if r.rtype == TYPE_SOA]
+        assert serials == [0, start, start + 1, start + 1, 0, 0]
+        assert [r.rdata.text for r in reply.answers if r.rtype == TYPE_TXT] == [
+            "temperature=15"]
+        # a secondary already at 0 is up to date, one at 2**32-1 gets one step
+        assert zone.ixfr_diff(0).steps == ()
+        assert [e.serial for e in zone.ixfr_diff(start + 1).steps] == [0]
+
     def test_fallback_becomes_axfr_on_stream(self):
         zone = build_fixture_zone()
         zone.journal_retention = 1
@@ -296,6 +319,25 @@ class TestUpdate:
         rr = ResourceRecord(owner, 0, txt_pair("register", "garbage"))
         reply = handle_update(update_msg([rr]), fixture_zone, ServerConfig(port=0))
         assert reply.rcode != RCODE_NOERROR
+
+    @pytest.mark.parametrize("value", [
+        "garbage",
+        "instance=x;id=dr78;port=80;target=a..b",
+        "instance=x;id=dr78;target=dr78.unipr.it",
+        "instance=x;id=dr78;port=eighty;target=dr78.unipr.it",
+        "instance=;id=dr78;port=80;target=dr78.unipr.it",
+    ], ids=["no-fields", "bad-target", "no-port", "non-numeric-port", "empty-instance"])
+    def test_malformed_registration_formerr(self, fixture_zone, value):
+        owner = (REGISTER_LABEL,) + fixture_zone.service
+        txt = ResourceRecord(parse_name("temperature.dr56._iot._udp"), 100,
+                             txt_pair("temperature", "15"))
+        reg = ResourceRecord(owner, 0, txt_pair("register", value))
+        before = fixture_zone.serial
+        reply = wire.decode(dispatch(wire.encode(update_msg([txt, reg])), fixture_zone,
+                                     ServerConfig(port=0), stream=False, source="127.0.0.1"))
+        assert reply.rcode == RCODE_FORMERR
+        # found while validating, before anything is applied
+        assert fixture_zone.serial == before
 
     def test_size_guard_refused(self, fixture_zone):
         owner = parse_name("temperature.dr56._iot._udp")
