@@ -206,7 +206,9 @@ def handle_update(
                     txt_pair("status", "registered" if changed else "unchanged"),
                 ))
             elif rr.rclass in (CLASS_NONE, CLASS_ANY):
-                zone.delete_txt(rr.owner, key)
+                # deleting data that is not there is a no-op (RFC 2136 §3.4.2.3)
+                if any(txt_key(r.rdata) == key for r in zone.records_at(rr.owner, TYPE_TXT)):
+                    zone.delete_txt(rr.owner, key)
             else:
                 zone.update_txt(rr.owner, key, txt_value(rr.rdata), ttl=rr.ttl)
     except (SizeGuardError, RecordError) as exc:
@@ -290,7 +292,8 @@ def update_token_record(secret: str, owner: Name = ()) -> ResourceRecord:
 def dispatch(data: bytes, zone: Zone, config: ServerConfig,
              stream: bool, source: Optional[str]) -> bytes:
     """Decode, route, answer, encode; applies the datagram cap with TC
-    and the stream-message cap with SERVFAIL."""
+    and the stream-message cap with SERVFAIL.  A failure to answer or to
+    encode the answer is a SERVFAIL carrying the query's id."""
     try:
         msg = wire.decode(data)
     except wire.WireError:
@@ -307,10 +310,11 @@ def dispatch(data: bytes, zone: Zone, config: ServerConfig,
             reply = serve_ixfr(msg, zone, stream)
         else:
             reply = answer_query(msg, zone)
+        payload = wire.encode(reply)
     except Exception:
         log.exception("query handling failed")
         reply = msg.reply(rcode=RCODE_SERVFAIL)
-    payload = wire.encode(reply)
+        payload = wire.encode(reply)
     if not stream and len(payload) > wire.MAX_UDP_PAYLOAD:
         # too big for a datagram: empty truncated reply, client retries on stream
         payload = wire.encode(reply.reply(tc=True))

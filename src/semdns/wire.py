@@ -3,18 +3,20 @@
 Covers exactly what an authoritative IoT-discovery service needs: QUERY
 and UPDATE opcodes, AXFR/IXFR qtypes, and the rdata types in
 ``records.RDATA_CLASSES``, whose classes read and write their own rdata
-through the writer and reader here.  Compression pointers are always
-accepted on input and emitted for owner names and compressible rdata
-names on output.
+through the writer and reader here.  Compression pointers are emitted
+for owner names and compressible rdata names on output.  On input a
+pointer must point back to a prior occurrence (RFC 1035 §4.1.4), which
+rules out loops.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Optional
 
 from .records import (
-    CLASS_IN, MAX_TTL, RDATA_CLASSES, Name, Rdata, ResourceRecord,
+    CLASS_IN, MAX_TTL, RDATA_CLASSES, Name, ResourceRecord,
 )
 
 OPCODE_QUERY = 0
@@ -38,20 +40,28 @@ RCODE_NAMES = {
 
 MAX_NAME_WIRE = 255
 MAX_UDP_PAYLOAD = 1460  # amplification guard, .com-style record cap
+#: the largest count a header field holds; a longer section cannot be encoded
+MAX_SECTION = 0xFFFF
+
+_HEADER = struct.Struct("!6H")  # id, flags, QDCOUNT, ANCOUNT, NSCOUNT, ARCOUNT
+_QUESTION = struct.Struct("!HH")  # QTYPE, QCLASS
+_RECORD = struct.Struct("!HHIH")  # TYPE, CLASS, TTL, RDLENGTH
+_U16 = struct.Struct("!H")
+_U32 = struct.Struct("!I")
 
 
 class WireError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Question:
     qname: Name
     qtype: int
     qclass: int = CLASS_IN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     id: int = 0
     qr: bool = False
@@ -66,12 +76,15 @@ class Message:
     authority: tuple[ResourceRecord, ...] = ()
     additional: tuple[ResourceRecord, ...] = ()
 
-    def reply(self, rcode: int = RCODE_NOERROR, **kwargs) -> "Message":
-        """Response skeleton: echoes id and question, sets QR and AA."""
-        fields = dict(qr=True, aa=True, ra=False, rcode=rcode,
-                      answers=(), authority=(), additional=())
-        fields.update(kwargs)
-        return replace(self, **fields)
+    def reply(self, rcode: int = RCODE_NOERROR,
+              answers: tuple[ResourceRecord, ...] = (),
+              authority: tuple[ResourceRecord, ...] = (),
+              additional: tuple[ResourceRecord, ...] = (),
+              tc: Optional[bool] = None) -> "Message":
+        """Response skeleton: echoes id, opcode, RD and question, sets QR
+        and AA, clears RA; TC is kept unless ``tc`` is given."""
+        return Message(self.id, True, self.opcode, True, self.tc if tc is None else tc,
+                       self.rd, False, rcode, self.questions, answers, authority, additional)
 
 
 # ---------------------------------------------------------------------------
@@ -79,65 +92,61 @@ class Message:
 
 
 class _Writer:
-    def __init__(self):
-        self.buf = bytearray()
+    __slots__ = ("buf", "offsets")
+
+    def __init__(self, header: bytes):
+        self.buf = bytearray(header)
         self.offsets: dict[Name, int] = {}
 
-    def u8(self, v): self.buf.append(v)
-    def u16(self, v): self.buf += struct.pack("!H", v)
-    def u32(self, v): self.buf += struct.pack("!I", v)
+    def u16(self, v): self.buf += _U16.pack(v)
+    def u32(self, v): self.buf += _U32.pack(v)
 
     def name(self, name: Name, compress: bool = True):
-        wire_len = sum(len(l) + 1 for l in name) + 1
-        if wire_len > MAX_NAME_WIRE:
+        if sum(map(len, name)) + len(name) >= MAX_NAME_WIRE:  # a length byte per label, then 0
             raise WireError(f"name {'.'.join(name)} exceeds 255 wire bytes")
+        buf, offsets = self.buf, self.offsets
         for i in range(len(name)):
             suffix = name[i:]
-            known = self.offsets.get(suffix) if compress else None
-            if known is not None:
-                self.u16(0xC000 | known)
-                return
-            if len(self.buf) < 0x3FFF:
-                self.offsets[suffix] = len(self.buf)
+            if compress:
+                known = offsets.get(suffix)
+                if known is not None:
+                    buf += _U16.pack(0xC000 | known)
+                    return
+            if len(buf) < 0x3FFF:
+                offsets[suffix] = len(buf)
             try:
                 label = name[i].encode("ascii")
             except UnicodeEncodeError:
                 raise WireError(f"non-ASCII label {name[i]!r}") from None
             if not 0 < len(label) <= 63:
                 raise WireError(f"label {name[i]!r} is not 1..63 bytes")
-            self.u8(len(label))
-            self.buf += label
-        self.u8(0)
-
-    def rdata(self, rdata: Rdata):
-        start_pos = len(self.buf)
-        self.u16(0)  # rdlength placeholder
-        rdata.to_wire(self)
-        struct.pack_into("!H", self.buf, start_pos, len(self.buf) - start_pos - 2)
+            buf.append(len(label))
+            buf += label
+        buf.append(0)
 
 
 def encode(msg: Message) -> bytes:
-    w = _Writer()
+    counts = (len(msg.questions), len(msg.answers), len(msg.authority), len(msg.additional))
+    if max(counts) > MAX_SECTION:
+        raise WireError(f"a section of {max(counts)} entries exceeds {MAX_SECTION}")
     flags = (
-        (int(msg.qr) << 15) | (msg.opcode << 11) | (int(msg.aa) << 10)
-        | (int(msg.tc) << 9) | (int(msg.rd) << 8) | (int(msg.ra) << 7)
-        | msg.rcode
+        (msg.qr << 15) | (msg.opcode << 11) | (msg.aa << 10) | (msg.tc << 9)
+        | (msg.rd << 8) | (msg.ra << 7) | msg.rcode
     )
-    w.u16(msg.id)
-    w.u16(flags)
-    for count in (len(msg.questions), len(msg.answers), len(msg.authority), len(msg.additional)):
-        w.u16(count)
+    w = _Writer(_HEADER.pack(msg.id, flags, *counts))
+    buf, name = w.buf, w.name
     for q in msg.questions:
-        w.name(q.qname)
-        w.u16(q.qtype)
-        w.u16(q.qclass)
-    for rr in msg.answers + msg.authority + msg.additional:
-        w.name(rr.owner)
-        w.u16(rr.rtype)
-        w.u16(rr.rclass)
-        w.u32(rr.ttl)
-        w.rdata(rr.rdata)
-    return bytes(w.buf)
+        name(q.qname)
+        buf += _QUESTION.pack(q.qtype, q.qclass)
+    for section in (msg.answers, msg.authority, msg.additional):
+        for rr in section:
+            name(rr.owner)
+            rdata = rr.rdata
+            at = len(buf) + 8  # where RDLENGTH goes once the rdata is written
+            buf += _RECORD.pack(rdata.rtype, rr.rclass, rr.ttl, 0)
+            rdata.to_wire(w)
+            _U16.pack_into(buf, at, len(buf) - at - 2)
+    return bytes(buf)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +154,13 @@ def encode(msg: Message) -> bytes:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    __slots__ = ("data", "pos", "names")
+
+    def __init__(self, data: bytes, pos: int):
         self.data = data
-        self.pos = 0
+        self.pos = pos
+        #: every name decoded so far, by the offset of each of its labels
+        self.names: dict[int, Name] = {}
 
     def need(self, n):
         if self.pos + n > len(self.data):
@@ -155,116 +168,115 @@ class _Reader:
 
     def u8(self):
         self.need(1)
-        v = self.data[self.pos]
         self.pos += 1
-        return v
+        return self.data[self.pos - 1]
 
     def u16(self):
         self.need(2)
-        v = struct.unpack_from("!H", self.data, self.pos)[0]
         self.pos += 2
-        return v
+        return _U16.unpack_from(self.data, self.pos - 2)[0]
 
     def u32(self):
         self.need(4)
-        v = struct.unpack_from("!I", self.data, self.pos)[0]
         self.pos += 4
-        return v
+        return _U32.unpack_from(self.data, self.pos - 4)[0]
 
     def take(self, n):
         self.need(n)
-        v = self.data[self.pos : self.pos + n]
         self.pos += n
-        return v
+        return self.data[self.pos - n : self.pos]
 
     def name(self) -> Name:
-        labels = []
-        pos = self.pos
-        jumped = False
-        seen = set()
+        """The name at ``pos``, moving past it.  A compression pointer
+        must point before the run of labels it ends, so each jump goes
+        back and a loop cannot form; a jump to a name already decoded
+        ends in one memo lookup."""
+        data, names = self.data, self.names
+        size = len(data)
+        pos = run = self.pos
+        after = None  # where the reader goes on: past the first pointer or the root
+        labels: list[str] = []
+        starts: list[int] = []
+        tail: Name = ()
         while True:
-            if pos in seen:
-                raise WireError("compression pointer loop")
-            seen.add(pos)
-            if pos >= len(self.data):
+            if pos >= size:
                 raise WireError("truncated name")
-            length = self.data[pos]
-            if length & 0xC0 == 0xC0:
-                if pos + 1 >= len(self.data):
-                    raise WireError("truncated compression pointer")
-                target = struct.unpack_from("!H", self.data, pos)[0] & 0x3FFF
-                if not jumped:
-                    self.pos = pos + 2
-                jumped = True
-                pos = target
-            elif length == 0:
-                if not jumped:
-                    self.pos = pos + 1
+            length = data[pos]
+            if length == 0:
+                if after is None:
+                    after = pos + 1
                 break
-            elif length & 0xC0:
-                raise WireError(f"bad label length byte {length:#x}")
-            else:
-                if pos + 1 + length > len(self.data):
+            if length < 0x40:
+                stop = pos + 1 + length
+                if stop > size:
                     raise WireError("truncated label")
                 try:
-                    label = self.data[pos + 1 : pos + 1 + length].decode("ascii")
+                    labels.append(data[pos + 1 : stop].decode("ascii").lower())
                 except UnicodeDecodeError:
                     raise WireError("non-ASCII byte in label") from None
-                labels.append(label.lower())
-                pos += 1 + length
-        name = tuple(labels)
-        if sum(len(l) + 1 for l in name) + 1 > MAX_NAME_WIRE:
+                starts.append(pos)
+                pos = stop
+            elif length >= 0xC0:
+                if pos + 1 >= size:
+                    raise WireError("truncated compression pointer")
+                if after is None:
+                    after = pos + 2
+                target = (length & 0x3F) << 8 | data[pos + 1]
+                if target >= run:
+                    raise WireError(
+                        f"compression pointer at {pos} to {target} does not point back")
+                known = names.get(target)
+                if known is not None:
+                    tail = known
+                    break
+                pos = run = target
+            else:
+                raise WireError(f"bad label length byte {length:#x}")
+        self.pos = after
+        name = tuple(labels) + tail
+        if sum(map(len, name)) + len(name) >= MAX_NAME_WIRE:
             raise WireError("name exceeds 255 wire bytes")
+        for i, at in enumerate(starts):
+            names[at] = name[i:]
         return name
-
-    def rdata(self, rtype: int) -> Rdata:
-        rdlength = self.u16()
-        end = self.pos + rdlength
-        self.need(rdlength)
-        cls = RDATA_CLASSES.get(rtype)
-        if cls is None:
-            raise WireError(f"unsupported rdata type {rtype}")
-        rdata = cls.from_wire(self, end)
-        if self.pos != end:
-            raise WireError(f"rdata length mismatch for type {rtype}")
-        return rdata
 
 
 def decode(data: bytes) -> Message:
-    r = _Reader(data)
-    msg_id = r.u16()
-    flags = r.u16()
-    qd, an, ns, ar = r.u16(), r.u16(), r.u16(), r.u16()
-    questions = tuple(
-        Question(r.name(), r.u16(), r.u16()) for _ in range(qd)
-    )
-
-    def section(count):
-        out = []
-        for _ in range(count):
-            owner = r.name()
-            rtype = r.u16()
-            rclass = r.u16()
-            ttl = r.u32()
-            if ttl > MAX_TTL:
-                ttl = 0
-            out.append(ResourceRecord(owner, ttl, r.rdata(rtype), rclass=rclass))
-        return tuple(out)
-
-    answers = section(an)
-    authority = section(ns)
-    additional = section(ar)
+    size = len(data)
+    if size < _HEADER.size:
+        raise WireError("truncated message")
+    msg_id, flags, qd, an, ns, ar = _HEADER.unpack_from(data)
+    r = _Reader(data, _HEADER.size)
+    name = r.name
+    questions = []
+    for _ in range(qd):
+        qname = name()
+        pos = r.pos
+        if pos + 4 > size:
+            raise WireError("truncated message")
+        r.pos = pos + 4
+        questions.append(Question(qname, *_QUESTION.unpack_from(data, pos)))
+    records = []
+    for _ in range(an + ns + ar):
+        owner = name()
+        pos = r.pos + 10
+        if pos > size:
+            raise WireError("truncated message")
+        rtype, rclass, ttl, rdlength = _RECORD.unpack_from(data, pos - 10)
+        end = pos + rdlength
+        if end > size:
+            raise WireError("truncated message")
+        cls = RDATA_CLASSES.get(rtype)
+        if cls is None:
+            raise WireError(f"unsupported rdata type {rtype}")
+        r.pos = pos
+        rdata = cls.from_wire(r, end)
+        if r.pos != end:
+            raise WireError(f"rdata length mismatch for type {rtype}")
+        records.append(ResourceRecord(owner, ttl if ttl <= MAX_TTL else 0, rdata, rclass))
     return Message(
-        id=msg_id,
-        qr=bool(flags & 0x8000),
-        opcode=(flags >> 11) & 0xF,
-        aa=bool(flags & 0x0400),
-        tc=bool(flags & 0x0200),
-        rd=bool(flags & 0x0100),
-        ra=bool(flags & 0x0080),
-        rcode=flags & 0xF,
-        questions=questions,
-        answers=answers,
-        authority=authority,
-        additional=additional,
+        msg_id, bool(flags & 0x8000), (flags >> 11) & 0xF, bool(flags & 0x0400),
+        bool(flags & 0x0200), bool(flags & 0x0100), bool(flags & 0x0080), flags & 0xF,
+        tuple(questions), tuple(records[:an]), tuple(records[an : an + ns]),
+        tuple(records[an + ns :]),
     )

@@ -1,11 +1,12 @@
 """Source hygiene for the package: imports sit at module level and are used,
-and the record dataclasses use slots.
+and the record and message dataclasses use slots.
 
 A function-level import hides a dependency (or an import cycle) from the
 reader of the module header, and an imported name nothing uses is dead
 code.  ``__init__.py`` imports names to re-export them, so only the
 first rule applies to it.  A zone holds a record and its rdata per
-resource record, so ``records.py`` keeps them free of a per-instance
+resource record, and the codec builds a message and its questions per
+query, so ``records.py`` and ``wire.py`` keep them free of a per-instance
 ``__dict__``.
 """
 
@@ -16,6 +17,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "semdns"
 MODULES = sorted(PACKAGE.glob("*.py"))
+#: modules whose dataclasses are built per record or per message
+SLOTTED = ("records.py", "wire.py")
 
 
 def function_level_imports(tree: ast.Module) -> list[str]:
@@ -73,8 +76,11 @@ def test_no_unused_imports(path):
 
 
 def test_record_dataclasses_declare_slots():
-    tree = ast.parse((PACKAGE / "records.py").read_text(encoding="utf-8"))
-    assert dataclasses_without_slots(tree) == []
+    missing = {}
+    for module in SLOTTED:
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        missing[module] = dataclasses_without_slots(tree)
+    assert missing == {module: [] for module in SLOTTED}
 
 
 def test_checks_catch_what_they_look_for():

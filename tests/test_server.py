@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import build_fixture_zone
 from semdns import client, server as server_module, wire
 from semdns.records import (
-    A, CNAME, PTR, ResourceRecord, SOA, SRV, TXT,
+    A, CLASS_NONE, CNAME, PTR, ResourceRecord, SOA, SRV, TXT,
     TYPE_A, TYPE_ANY, TYPE_AXFR, TYPE_CNAME, TYPE_IXFR, TYPE_PTR, TYPE_SOA,
     TYPE_SRV, TYPE_TXT,
     parse_name,
@@ -339,6 +339,28 @@ class TestUpdate:
         # found while validating, before anything is applied
         assert fixture_zone.serial == before
 
+    def test_deleting_an_absent_key_is_a_no_op(self, fixture_zone):
+        # RFC 2136 §3.4.2.3: deleting data that is not there is ignored
+        owner = parse_name("temperature.dr56._iot._udp")
+        rr = ResourceRecord(owner, 0, txt_pair("humidity", ""), rclass=CLASS_NONE)
+        serial, journal = fixture_zone.serial, fixture_zone.journal()
+        reply = wire.decode(dispatch(wire.encode(update_msg([rr])), fixture_zone,
+                                     ServerConfig(port=0), stream=False, source="127.0.0.1"))
+        assert reply.rcode == RCODE_NOERROR
+        assert fixture_zone.serial == serial and fixture_zone.journal() == journal
+
+    def test_absent_delete_then_set_is_one_step(self, fixture_zone):
+        owner = parse_name("temperature.dr56._iot._udp")
+        serial = fixture_zone.serial
+        updates = [client.txt_delete_record(owner, "humidity"),
+                   ResourceRecord(owner, 100, txt_pair("temperature", "99"))]
+        reply = wire.decode(dispatch(wire.encode(update_msg(updates)), fixture_zone,
+                                     ServerConfig(port=0), stream=False, source="127.0.0.1"))
+        assert reply.rcode == RCODE_NOERROR
+        assert fixture_zone.serial == serial + 1
+        assert [t.rdata.text for t in fixture_zone.records_at(owner, TYPE_TXT)] == [
+            "temperature=99"]
+
     def test_size_guard_refused(self, fixture_zone):
         owner = parse_name("temperature.dr56._iot._udp")
         rr = ResourceRecord(owner, 100, txt_pair("blob", "x" * 2000))
@@ -420,6 +442,16 @@ class TestDispatch:
         reply = wire.decode(dispatch(q, large_zone, ServerConfig(port=0),
                                      stream=True, source=None))
         assert reply.rcode == RCODE_SERVFAIL and reply.id == 9 and not reply.answers
+
+    @pytest.mark.parametrize("stream", [False, True], ids=["udp", "tcp"])
+    def test_unencodable_answer_is_servfail(self, fixture_zone, monkeypatch, stream):
+        def flood(msg, zone):  # more answers than ANCOUNT can count
+            return msg.reply(answers=(ResourceRecord(("a",), 60, A("1.2.3.4")),) * 65536)
+        monkeypatch.setattr(server_module, "answer_query", flood)
+        q = wire.encode(Message(id=0x5151, questions=(Question(("a",), TYPE_A),)))
+        reply = wire.decode(dispatch(q, fixture_zone, ServerConfig(port=0),
+                                     stream=stream, source=None))
+        assert reply.rcode == RCODE_SERVFAIL and reply.id == 0x5151 and not reply.answers
 
 
 PROPERTY_ZONE = build_fixture_zone()

@@ -1,7 +1,10 @@
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wire_reference
 from semdns import wire
 from semdns.records import (
     A, CNAME, NS, PTR, ResourceRecord, SOA, SRV, TXT, parse_name,
@@ -52,6 +55,111 @@ messages = st.builds(
 @given(messages)
 def test_round_trip_identity(msg):
     assert decode(encode(msg)) == msg
+
+
+@settings(max_examples=300, deadline=None)
+@given(messages)
+def test_encode_matches_reference_bytes(msg):
+    assert encode(msg) == wire_reference.encode(msg)
+
+
+@st.composite
+def damaged_encodings(draw):
+    """An encoded message with one to four bytes replaced, compression
+    pointers written over it, or its end cut off."""
+    data = bytearray(encode(draw(messages)))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data) - 1))
+        kind = draw(st.sampled_from(["byte", "pointer", "cut"]))
+        if kind == "byte":
+            data[at] = draw(st.integers(0, 255))
+        elif kind == "pointer":
+            target = draw(st.integers(0, len(data) - 1))
+            data[at:at + 2] = bytes([0xC0 | target >> 8, target & 0xFF])
+        else:
+            del data[at:]
+            break
+    return bytes(data)
+
+
+def decoded_or_error(decoder, data):
+    try:
+        return decoder(data)
+    except WireError as exc:
+        return exc
+
+
+def is_forward_pointer_error(result):
+    return isinstance(result, WireError) and "does not point back" in str(result)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(messages.map(encode), damaged_encodings()))
+def test_decode_matches_reference(data):
+    got = decoded_or_error(decode, data)
+    want = decoded_or_error(wire_reference.decode, data)
+    if isinstance(want, WireError):
+        assert isinstance(got, WireError)
+    else:
+        # the one difference allowed: only the reference follows a pointer forward
+        assert got == want or is_forward_pointer_error(got)
+
+
+def header(qdcount, ancount=0):
+    return struct.pack("!6H", 1, 0, qdcount, ancount, 0, 0)
+
+
+A_IN = struct.pack("!HH", TYPE_A, 1)
+
+
+def fixed(rtype, rdlength):
+    return struct.pack("!HHIH", rtype, 1, 60, rdlength)
+
+
+@pytest.mark.parametrize("data", [
+    # the first question's name points at the second's
+    header(2) + b"\xc0\x12" + A_IN + b"\x03abc\x00" + A_IN,
+    # the second answer's owner points back into the TXT rdata at 31, where
+    # label "a" is followed by a pointer to 35, past where that run began
+    header(1, 2) + b"\x01b\x00" + A_IN
+    + b"\x00" + fixed(TYPE_TXT, 8) + b"\x04\x01a\xc0\x23\x01b\x00"
+    + b"\xc0\x1f" + fixed(TYPE_A, 4) + bytes(4),
+], ids=["forward", "forward-after-a-jump"])
+def test_forward_pointer_rejected(data):
+    assert isinstance(wire_reference.decode(data), Message)
+    with pytest.raises(WireError, match="does not point back"):
+        decode(data)
+
+
+def test_pointer_into_an_already_decoded_name():
+    # "temperature.dr56.example" at 12; the second question starts at its
+    # second label, 12 bytes in
+    first = b"\x0btemperature\x04dr56\x07example\x00"
+    data = header(2) + first + A_IN + b"\xc0\x18" + A_IN
+    msg = decode(data)
+    assert msg.questions[1].qname == ("dr56", "example")
+    assert msg == wire_reference.decode(data)
+
+
+def test_chain_of_pointers():
+    # "a.b.c" at 12; "x" and a pointer to "b.c" at 23; "y" and a pointer to
+    # the second name at 31; a pointer to the first name at 39, and at 45 a
+    # pointer to that pointer
+    data = (header(5) + b"\x01a\x01b\x01c\x00" + A_IN + b"\x01x\xc0\x0e" + A_IN
+            + b"\x01y\xc0\x17" + A_IN + b"\xc0\x0c" + A_IN + b"\xc0\x27" + A_IN)
+    msg = decode(data)
+    assert [q.qname for q in msg.questions] == [
+        ("a", "b", "c"), ("x", "b", "c"), ("y", "x", "b", "c"), ("a", "b", "c"),
+        ("a", "b", "c")]
+    assert msg == wire_reference.decode(data)
+
+
+@pytest.mark.parametrize("section", ["questions", "answers", "authority", "additional"])
+def test_section_over_65535_entries_rejected(section):
+    entry = (Question(("a",), TYPE_A) if section == "questions"
+             else ResourceRecord(("a",), 60, A("1.2.3.4")))
+    with pytest.raises(WireError, match="exceeds 65535"):
+        encode(Message(**{section: (entry,) * 65536}))
 
 
 def test_round_trip_maximum_length_name():
