@@ -2,13 +2,23 @@
 
 Speaks to any server over UDP (with automatic TCP retry on truncation)
 and over TCP for zone transfers and updates.
+
+Each UDP query goes out from a fresh socket, so each gets a random
+source port (RFC 5452).  TCP connections are reused (RFC 7766 §6.2.1):
+the process keeps at most one idle connection, to the server it spoke
+to last, and takes it for the next exchange with that server if a
+non-blocking peek shows the server has not closed it.  A connection is
+kept only after a whole reply that matches its query.
 """
 
 from __future__ import annotations
 
+import atexit
+import os
 import random
 import socket
 import struct
+import threading
 import time
 from typing import Optional, Sequence
 
@@ -19,6 +29,7 @@ from .wire import Message, OPCODE_UPDATE, Question
 from .zone import txt_pair
 
 DEFAULT_TIMEOUT = 5.0
+_U16 = struct.Struct("!H")
 
 
 class ClientError(OSError):
@@ -51,14 +62,55 @@ def _udp_exchange(host: str, port: int, query: Message, payload: bytes,
 
 
 def _tcp_exchange(host: str, port: int, payload: bytes, timeout: float) -> bytes:
+    """Send one length-prefixed query and return its reply, over the idle
+    connection to ``host:port`` when it is still open, else over a new one.
+
+    A reused connection that fails before any byte of the reply arrives
+    (EOF, reset or broken pipe) is retried once on a new connection: the
+    server closed it as idle, after the liveness check, so it did not
+    read the query.  Nothing else is retried.  The connection is kept
+    for the next exchange only after a whole reply that carries the
+    query's id and question; after any error it is closed.
+    """
+    addr = (host, port)
+    sock = _take_idle(addr)
+    reply = None
     try:
-        with socket.create_connection((host, port), timeout=timeout) as sock:
-            sock.sendall(struct.pack("!H", len(payload)) + payload)
-            header = _recv_exact(sock, 2)
-            (length,) = struct.unpack("!H", header)
-            return _recv_exact(sock, length)
-    except (socket.timeout, ConnectionError) as exc:
+        if sock is not None:
+            try:
+                reply = _ask(sock, payload, timeout)
+            except _Unanswered:
+                sock.close()
+        if reply is None:
+            sock = socket.create_connection(addr, timeout=timeout)
+            reply = _ask(sock, payload, timeout)
+    except OSError as exc:
         raise ClientError(f"stream exchange with {host}:{port} failed: {exc}") from exc
+    finally:
+        if reply is None and sock is not None:
+            sock.close()
+    if not _answers(payload, reply):
+        sock.close()
+        raise ClientError(f"stream reply from {host}:{port} does not match the query")
+    _set_idle((addr, sock))
+    return reply
+
+
+class _Unanswered(ConnectionError):
+    """The server closed the connection before any byte of the reply."""
+
+
+def _ask(sock: socket.socket, payload: bytes, timeout: float) -> bytes:
+    sock.settimeout(timeout)
+    try:
+        sock.sendall(_U16.pack(len(payload)) + payload)
+        head = sock.recv(2)
+    except (BrokenPipeError, ConnectionResetError) as exc:
+        raise _Unanswered(exc) from exc
+    if not head:
+        raise _Unanswered("server closed the connection")
+    (length,) = _U16.unpack(head + _recv_exact(sock, 2 - len(head)))
+    return _recv_exact(sock, length)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -69,6 +121,64 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
             raise ConnectionError("server closed mid-message")
         buf += chunk
     return buf
+
+
+def _answers(query: bytes, reply: bytes) -> bool:
+    """Whether ``reply`` carries the id, QDCOUNT and, byte for byte, the
+    question section of ``query`` (a message this client encoded)."""
+    end = 12
+    for _ in range(_U16.unpack_from(query, 4)[0]):
+        while 0 < query[end] < 0xC0:  # a label
+            end += 1 + query[end]
+        end += (2 if query[end] else 1) + 4  # a pointer or the root, then type and class
+    return (reply[:2] == query[:2] and reply[4:6] == query[4:6]
+            and reply[12:end] == query[12:end])
+
+
+# The idle connection: ((host, port), socket) or None, shared by every thread.
+_idle: Optional[tuple[tuple[str, int], socket.socket]] = None
+_idle_lock = threading.Lock()
+
+
+def _take_idle(addr: tuple[str, int]) -> Optional[socket.socket]:
+    """The idle connection to ``addr`` if the server has not closed it."""
+    global _idle
+    with _idle_lock:
+        if _idle is None or _idle[0] != addr:
+            return None
+        sock = _idle[1]
+        _idle = None
+    sock.setblocking(False)
+    try:
+        # EOF, a reset or a stray byte all mean the connection is not usable
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return sock
+    except OSError:
+        pass
+    sock.close()
+    return None
+
+
+def _set_idle(new: Optional[tuple[tuple[str, int], socket.socket]]) -> None:
+    """Make ``new`` the idle connection, closing the one it replaces."""
+    global _idle
+    with _idle_lock:
+        old, _idle = _idle, new
+    if old is not None:
+        old[1].close()
+
+
+def _close_idle_in_child() -> None:
+    """After fork: the child must not share the parent's connection, and
+    another thread of the parent may have held the lock."""
+    global _idle_lock
+    _idle_lock = threading.Lock()
+    _set_idle(None)
+
+
+atexit.register(_set_idle, None)
+os.register_at_fork(after_in_child=_close_idle_in_child)
 
 
 def exchange(msg: Message, host: str, port: int,

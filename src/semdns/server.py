@@ -397,6 +397,8 @@ class DnsServer:
                 pass  # closed by an earlier shutdown()
             self._thread.join(timeout=5)
         self._wake_w.close()
+        if self._journal_file is not None:
+            self._journal_file.close()
 
     def serve_forever(self) -> None:
         self.start()

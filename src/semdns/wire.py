@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional
 
 from .records import (
     CLASS_IN, MAX_TTL, RDATA_CLASSES, Name, ResourceRecord,
@@ -80,10 +79,11 @@ class Message:
               answers: tuple[ResourceRecord, ...] = (),
               authority: tuple[ResourceRecord, ...] = (),
               additional: tuple[ResourceRecord, ...] = (),
-              tc: Optional[bool] = None) -> "Message":
+              tc: bool = False) -> "Message":
         """Response skeleton: echoes id, opcode, RD and question, sets QR
-        and AA, clears RA; TC is kept unless ``tc`` is given."""
-        return Message(self.id, True, self.opcode, True, self.tc if tc is None else tc,
+        and AA, clears RA; sets TC only when ``tc`` is true, since TC
+        marks a truncated reply (RFC 1035 §4.1.1)."""
+        return Message(self.id, True, self.opcode, True, tc,
                        self.rd, False, rcode, self.questions, answers, authority, additional)
 
 

@@ -623,14 +623,28 @@ def journal_entry_from_json(line: str) -> JournalEntry:
 
 
 class JournalFile:
-    """Append-only on-disk journal so IXFR history survives restarts."""
+    """Append-only on-disk journal so IXFR history survives restarts.
+
+    One append handle stays open from the first append until ``close``;
+    each entry is written and flushed as one line, so the OS holds it
+    before ``append`` returns.
+    """
 
     def __init__(self, path):
         self.path = path
+        self._fh = None
 
     def append(self, entry: JournalEntry) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(journal_entry_to_json(entry) + "\n")
+        if self._fh is None:
+            self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh.write(journal_entry_to_json(entry) + "\n")
+        self._fh.flush()
+
+    def close(self) -> None:
+        """Release the append handle; a later append opens it again."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def load(self) -> list[JournalEntry]:
         try:

@@ -1,5 +1,6 @@
 import errno
 import random
+import select
 import socket
 import struct
 import sys
@@ -36,7 +37,7 @@ from semdns.wire import (
     RCODE_SERVFAIL,
 )
 from semdns.zone import (
-    DeviceRegistration, SplitPolicy, Zone, txt_pair, txt_value,
+    DeviceRegistration, JournalFile, SplitPolicy, Zone, txt_pair, txt_value,
 )
 
 
@@ -429,6 +430,14 @@ class TestDispatch:
         assert not tcp.tc and len(tcp.answers) >= 80
 
 
+    def test_query_with_tc_set_gets_a_complete_reply_without_tc(self, fixture_zone):
+        q = wire.encode(Message(id=7, tc=True, questions=(
+            Question(parse_name("temperature.dr56._iot._udp"), TYPE_SRV),)))
+        reply = wire.decode(dispatch(q, fixture_zone, ServerConfig(port=0),
+                                     stream=False, source=None))
+        assert reply.rcode == RCODE_NOERROR and len(reply.answers) == 1
+        assert not reply.tc
+
     def test_non_ascii_label_is_formerr(self, fixture_zone):
         q = bytearray(wire.encode(Message(id=0x4242, questions=(
             Question(parse_name("temperature.dr56._iot._udp"), TYPE_SRV),))))
@@ -550,6 +559,23 @@ class TestLiveServer:
             assert texts == ["temperature=14", "temperature=15"]
         finally:
             server2.shutdown()
+
+
+    def test_journal_readable_before_shutdown(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        zone = build_fixture_zone()
+        server = DnsServer(zone, ServerConfig(port=0, journal_file=str(path)))
+        server.start()
+        owner = parse_name("temperature.dr56._iot._udp")
+        try:
+            for i in range(5):
+                client.send_update("127.0.0.1", server.port, (),
+                                   [client.txt_update_record(owner, "temperature", str(i), 100)])
+                # a second reader sees every entry as soon as the UPDATE is answered
+                assert JournalFile(path).load() == zone.journal()[-(i + 1):]
+        finally:
+            server.shutdown()
+        assert server._journal_file._fh is None
 
 
 @pytest.fixture
@@ -718,6 +744,112 @@ class TestTransport:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+
+
+TXT_OWNER = parse_name("temperature.dr56._iot._udp")
+
+
+def set_temperature(port, value, **kwargs):
+    reply = client.send_update("127.0.0.1", port, (), [
+        client.txt_update_record(TXT_OWNER, "temperature", str(value), 100)], **kwargs)
+    assert reply.rcode == RCODE_NOERROR
+    return reply
+
+
+def kept_connection(port):
+    """The client's idle connection, which must be to ``port``."""
+    addr, sock = client._idle
+    assert addr == ("127.0.0.1", port)
+    return sock
+
+
+def reused_connection(port):
+    """Two UPDATEs over one kept connection, which is returned."""
+    set_temperature(port, 1)
+    sock = kept_connection(port)
+    set_temperature(port, 2)
+    assert kept_connection(port) is sock
+    return sock
+
+
+def wait_until_closed_by_server(sock):
+    """Block until the peer's FIN is readable on ``sock``."""
+    assert select.select([sock], [], [], 5)[0]
+    assert sock.recv(1, socket.MSG_PEEK) == b""
+
+
+@pytest.fixture
+def asks(monkeypatch):
+    """Every socket ``client._ask`` sends a query on, in order."""
+    sent = []
+    real = client._ask
+
+    def spy(sock, payload, timeout):
+        sent.append(sock)
+        return real(sock, payload, timeout)
+    monkeypatch.setattr(client, "_ask", spy)
+    return sent
+
+
+class TestClientConnectionReuse:
+    def test_updates_and_transfers_share_one_connection(self, serve):
+        srv = serve()
+        start = srv.zone.serial
+        ports = set()
+        for i in range(20):
+            set_temperature(srv.port, i)
+            ports.add(kept_connection(srv.port).getsockname()[1])
+        reply = client.ixfr("127.0.0.1", srv.port, (), start)
+        assert len([r for r in reply.answers if r.rtype == TYPE_TXT]) == 40
+        ports.add(kept_connection(srv.port).getsockname()[1])
+        reply = client.axfr("127.0.0.1", srv.port, ())
+        assert len(reply.answers) == len(srv.zone.records()) + 2
+        ports.add(kept_connection(srv.port).getsockname()[1])
+        assert len(ports) == 1
+        assert len(srv._conns) == 1
+        (server_side,) = srv._conns
+        assert server_side.getpeername()[1] in ports
+
+    def check_next_update_after_close(self, srv, old, asks):
+        """The server has closed ``old``, the kept connection: the next
+        UPDATE sees that before sending, and is applied exactly once."""
+        wait_until_closed_by_server(old)
+        serial = srv.zone.serial
+        set_temperature(srv.port, 99)
+        assert srv.zone.serial == serial + 1
+        assert len(asks) == 1 and asks[0] is not old
+        assert old.fileno() == -1  # closed by the liveness check
+
+    def test_update_after_idle_close(self, serve, asks):
+        srv = serve(IDLE_TIMEOUT=0.2)
+        old = reused_connection(srv.port)
+        asks.clear()
+        self.check_next_update_after_close(srv, old, asks)
+
+    def test_update_after_eviction(self, serve, asks):
+        srv = serve(MAX_CONNECTIONS=1)
+        old = reused_connection(srv.port)
+        with tcp_connect(srv.port) as other:
+            other.sendall(frame(Message(id=8, questions=(A_QUERY,))))
+            assert read_message(other).id == 8
+            asks.clear()
+            self.check_next_update_after_close(srv, old, asks)
+
+    def test_update_after_restart_on_the_same_port(self, asks):
+        zone = build_fixture_zone()
+        srv = DnsServer(zone, ServerConfig(port=0))
+        srv.start()
+        try:
+            old = reused_connection(srv.port)
+        finally:
+            srv.shutdown()
+        reborn = DnsServer(zone, ServerConfig(port=srv.port))
+        reborn.start()
+        try:
+            asks.clear()
+            self.check_next_update_after_close(reborn, old, asks)
+        finally:
+            reborn.shutdown()
 
 
 def returns_within(fn, seconds=5):

@@ -377,6 +377,7 @@ class TestJournalPersistence:
         owner = parse_name("temperature.dr56._iot._udp")
         fixture_zone.update_txt(owner, "temperature", "15")
         fixture_zone.update_txt(owner, "temperature", "16")
+        jf.close()
         old_journal = fixture_zone.journal()
 
         reborn = Zone.from_master_file(fixture_zone.export_master_file(),
