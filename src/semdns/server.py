@@ -27,7 +27,7 @@ from .records import (
 )
 from .wire import (
     Message, OPCODE_QUERY, OPCODE_UPDATE,
-    RCODE_FORMERR, RCODE_NOTIMP, RCODE_NXDOMAIN, RCODE_REFUSED,
+    RCODE_FORMERR, RCODE_NOTIMP, RCODE_NOTZONE, RCODE_NXDOMAIN, RCODE_REFUSED,
     RCODE_SERVFAIL,
 )
 from .zone import (
@@ -77,20 +77,22 @@ def answer_query(msg: Message, zone: Zone) -> Message:
     # one zone read per name: chase CNAMEs inside the zone, exposing the
     # chain in the answer, and answer from the records at the last name
     here = zone.records_at(target)
+    alias = next((r for r in here if r.rtype == TYPE_CNAME), None)
     for _ in range(8):
-        alias = next((r for r in here if r.rtype == TYPE_CNAME), None)
         if alias is None:
             break
         answers.append(alias)
         target = alias.rdata.target
         here = zone.records_at(target)
+        alias = next((r for r in here if r.rtype == TYPE_CNAME), None)
 
     if q.qtype == TYPE_ANY:
         answers += here
         if target == zone.origin:
             answers.append(zone.soa_record())
     elif q.qtype == TYPE_PTR:
-        discovered = sorted(zone.ptr_discover(target))
+        # a chain that did not end (a loop) is answered as for any type
+        discovered = sorted(zone.ptr_discover(target)) if alias is None else ()
         if discovered:
             answers += [
                 ResourceRecord(q.qname, zone.default_ttl, PTR(instance))
@@ -178,39 +180,34 @@ def handle_update(
     if len(msg.questions) != 1 or not is_subdomain(msg.questions[0].qname, zone.origin):
         return msg.reply(rcode=RCODE_REFUSED, additional=())
 
-    # validate first: an update is all-or-nothing
+    # validate first, building every record the update adds: an update is
+    # all-or-nothing.  Names are placed as the zone stands before it.
+    zone_name = msg.questions[0].qname
     register_owner = (REGISTER_LABEL,) + zone.service + zone.origin
     ops = []
-    for rr in msg.authority:
-        if rr.rtype != TYPE_TXT:
-            log.warning("refused UPDATE: record type %s not updatable", rr.type_name)
-            return msg.reply(rcode=RCODE_REFUSED, additional=())
-        key = txt_key(rr.rdata)
-        if key is None:
-            return msg.reply(rcode=RCODE_REFUSED, additional=())
-        reg = None
-        if rr.owner == register_owner:
-            try:
-                reg = _parse_registration(txt_value(rr.rdata))
-            except ZoneError as exc:
-                log.warning("malformed UPDATE: %s", exc)
-                return msg.reply(rcode=RCODE_FORMERR, additional=())
-        ops.append((rr, key, reg))
-    status: list[ResourceRecord] = []
     try:
-        for rr, key, reg in ops:
-            if reg is not None:
-                changed, owner = zone.register_device(reg)
-                status.append(ResourceRecord(
-                    owner, 0,
-                    txt_pair("status", "registered" if changed else "unchanged"),
-                ))
+        for rr in msg.authority:
+            if not is_subdomain(rr.owner, zone_name):
+                log.warning("refused UPDATE: %s is outside the zone", name_text(rr.owner))
+                return msg.reply(rcode=RCODE_NOTZONE, additional=())
+            if rr.rtype != TYPE_TXT:
+                log.warning("refused UPDATE: record type %s not updatable", rr.type_name)
+                return msg.reply(rcode=RCODE_REFUSED, additional=())
+            key = txt_key(rr.rdata)
+            if not key:  # no key=value form, or an empty key
+                return msg.reply(rcode=RCODE_REFUSED, additional=())
+            if rr.owner == register_owner:
+                try:
+                    reg = _parse_registration(txt_value(rr.rdata))
+                except ZoneError as exc:
+                    log.warning("malformed UPDATE: %s", exc)
+                    return msg.reply(rcode=RCODE_FORMERR, additional=())
+                ops.append((rr, key, reg, zone.device_records(reg)))
             elif rr.rclass in (CLASS_NONE, CLASS_ANY):
-                # deleting data that is not there is a no-op (RFC 2136 §3.4.2.3)
-                if any(txt_key(r.rdata) == key for r in zone.records_at(rr.owner, TYPE_TXT)):
-                    zone.delete_txt(rr.owner, key)
+                ops.append((rr, key, None, None))
             else:
-                zone.update_txt(rr.owner, key, txt_value(rr.rdata), ttl=rr.ttl)
+                record = zone.txt_record(rr.owner, key, txt_value(rr.rdata), rr.ttl)
+                ops.append((rr, key, None, record))
     except (SizeGuardError, RecordError) as exc:
         # a record the wire cannot carry, or one too big for a datagram
         log.warning("refused UPDATE: %s", exc)
@@ -218,6 +215,19 @@ def handle_update(
     except ZoneError as exc:
         log.warning("failed UPDATE: %s", exc)
         return msg.reply(rcode=RCODE_SERVFAIL, additional=())
+    status: list[ResourceRecord] = []
+    for rr, key, reg, added in ops:
+        if reg is not None:
+            changed, owner = zone.register_device(reg, added)
+            status.append(ResourceRecord(
+                owner, 0,
+                txt_pair("status", "registered" if changed else "unchanged"),
+            ))
+        elif added is not None:
+            zone.update_txt(rr.owner, key, txt_value(rr.rdata), ttl=rr.ttl, record=added)
+        # deleting data that is not there is a no-op (RFC 2136 §3.4.2.3)
+        elif any(txt_key(r.rdata) == key for r in zone.records_at(rr.owner, TYPE_TXT)):
+            zone.delete_txt(rr.owner, key)
     return msg.reply(additional=tuple(status))
 
 

@@ -27,6 +27,7 @@ RCODE_SERVFAIL = 2
 RCODE_NXDOMAIN = 3
 RCODE_NOTIMP = 4
 RCODE_REFUSED = 5
+RCODE_NOTZONE = 10  # RFC 2136: an update record outside the zone
 
 RCODE_NAMES = {
     RCODE_NOERROR: "NOERROR",
@@ -35,6 +36,7 @@ RCODE_NAMES = {
     RCODE_NXDOMAIN: "NXDOMAIN",
     RCODE_NOTIMP: "NOTIMP",
     RCODE_REFUSED: "REFUSED",
+    RCODE_NOTZONE: "NOTZONE",
 }
 
 MAX_NAME_WIRE = 255

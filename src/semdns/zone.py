@@ -17,18 +17,16 @@ three read indexes that the writer path keeps current:
 
 - an owner map, name -> that name's records in list order, which serves
   ``records_at``, CNAME chasing and the TXT store;
-- child counts, name -> how many of its child names are live (hold
-  records, or have a live name below them), so ``has_owner`` answers
-  empty non-terminals and NXDOMAIN in O(1).  Counting live children
-  rather than every owner below lets an update stop at the first
-  ancestor that was already live;
+- the owner names, each with its labels reversed, in one sorted list.
+  The names at or below a name are one contiguous run of it, so
+  ``has_owner`` (empty non-terminals and NXDOMAIN) is one bisect and
+  ``subtree`` (AXFR below the apex) is one slice: O(log N + k);
 - a sorted list of (identifier, instance) for every PTR under
   ``<service>.<origin>``, which ``ptr_discover`` bisects: a prefix
   browse costs O(log N + k) for k matches.
 
-Three paths still scan the list: the duplicate check in
-``register_device``, the removal of deleted records in ``_mutate`` and
-``subtree`` (AXFR below the apex).
+Two paths still scan the list: the duplicate check in
+``register_device`` and the removal of deleted records in ``_mutate``.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from .records import (
     CNAME, NS, PTR, SOA, SRV, TXT,
     Name, ResourceRecord,
     TYPE_CNAME, TYPE_NS, TYPE_PTR, TYPE_SOA, TYPE_TXT,
-    export_master_file, import_master_file, is_subdomain, make_txt, name_text,
+    export_master_file, import_master_file, make_txt, name_text,
     parse_record_line,
 )
 
@@ -143,7 +141,7 @@ class Zone:
         # the read indexes (see the module docstring); only the writer
         # path and from_master_file change them
         self._owners: dict[Name, tuple[ResourceRecord, ...]] = {}
-        self._below: dict[Name, int] = {}
+        self._names: list[Name] = []  # owner names, labels reversed, sorted
         self._ptrs: list[tuple[str, Name]] = []
         self._journal: list[JournalEntry] = []
         self._lock = threading.RLock()
@@ -181,14 +179,28 @@ class Zone:
             return [r for r in here if r.rdata.rtype == rtype]
 
     def subtree(self, apex: Name) -> list[ResourceRecord]:
+        """The records at and below ``apex``, grouped by owner name."""
+        key = apex[::-1]
         with self._lock:
-            return [r for r in self._records if is_subdomain(r.owner, apex)]
+            names, owners = self._names, self._owners
+            lo = bisect_left(names, key)
+            # every name at or below apex sorts below apex's next sibling
+            hi = bisect_left(names, key[:-1] + (key[-1] + "\0",), lo) if key else len(names)
+            return [rr for name in names[lo:hi] for rr in owners[name[::-1]]]
 
     def has_owner(self, owner: Name) -> bool:
+        """``owner`` holds records or has a name below it that does (an
+        empty non-terminal).  The root counts only as the origin or an
+        owner, not for every name below it."""
         if owner == self.origin:
             return True
+        key = owner[::-1]
         with self._lock:
-            return owner in self._owners or owner in self._below
+            if not key:
+                return key in self._owners
+            names = self._names
+            i = bisect_left(names, key)
+            return i < len(names) and names[i][:len(key)] == key
 
     def journal(self) -> list[JournalEntry]:
         with self._lock:
@@ -223,7 +235,7 @@ class Zone:
     def _index(self, rr: ResourceRecord) -> None:
         here = self._owners.get(rr.owner)
         if here is None:
-            self._link(rr.owner)
+            insort(self._names, rr.owner[::-1])
             self._owners[rr.owner] = (rr,)
         else:
             self._owners[rr.owner] = here + (rr,)
@@ -238,42 +250,10 @@ class Zone:
             self._owners[rr.owner] = here[:i] + here[i + 1:]
         else:
             del self._owners[rr.owner]
-            self._unlink(rr.owner)
+            del self._names[bisect_left(self._names, rr.owner[::-1])]
         ptr = self._ptr_entry(rr)
         if ptr is not None:
             del self._ptrs[bisect_left(self._ptrs, ptr)]
-
-    def _link(self, name: Name) -> None:
-        """``name`` is about to get its first record.  Unless a live name
-        below already made it live, count it at its parent, and go on up
-        while the parent was not live either."""
-        below, owners = self._below, self._owners
-        if name in below:
-            return
-        while len(name) > 1:
-            parent = name[1:]
-            count = below.get(parent, 0)
-            # a new key takes the owner map's tuple for the name, if any
-            below[parent if count else self._known(parent)] = count + 1
-            if count or parent in owners:
-                return
-            name = parent
-
-    def _unlink(self, name: Name) -> None:
-        """``name`` has lost its last record: undo what _link counted."""
-        below, owners = self._below, self._owners
-        if name in below:
-            return
-        while len(name) > 1:
-            parent = name[1:]
-            count = below[parent] - 1
-            if count:
-                below[parent] = count
-                return
-            del below[parent]
-            if parent in owners:
-                return
-            name = parent
 
     def _ptr_entry(self, rr: ResourceRecord) -> Optional[tuple[str, Name]]:
         """The ``_ptrs`` entry of a PTR under <service>.<origin>, else None."""
@@ -301,14 +281,11 @@ class Zone:
         labels = split_labels(identifier, self.policy, self)
         return tuple(labels) + self.service + self.origin
 
-    def register_device(self, reg: DeviceRegistration) -> tuple[bool, Name]:
-        """Add the SRV/PTR/TXT records for a device.
-
-        Returns (changed, instance owner name).  Re-registering an
-        identical device is a no-op with changed=False.  Raises
-        RecordError for a field the wire cannot carry and SizeGuardError
-        for a record no datagram answer can hold; nothing is added then.
-        """
+    def device_records(self, reg: DeviceRegistration) -> list[ResourceRecord]:
+        """The records that register ``reg``, SRV first.  Raises ZoneError
+        for a device the zone cannot place, RecordError for a field the
+        wire cannot carry and SizeGuardError for a record no datagram
+        answer can hold."""
         if not reg.instance or not reg.target:
             raise ZoneError("instance and target must be nonempty")
         ttl = reg.ttl if reg.ttl is not None else self.default_ttl
@@ -324,8 +301,24 @@ class Zone:
             wanted.append(ResourceRecord(owner, ttl, txt_pair(key, value)))
         for record in wanted:
             _check_size_guard(record)
+        return wanted
+
+    def register_device(
+        self,
+        reg: DeviceRegistration,
+        records: Optional[Sequence[ResourceRecord]] = None,
+    ) -> tuple[bool, Name]:
+        """Add a device's records: ``records`` if the caller has built
+        them with ``device_records(reg)``, else that list built here.
+
+        Returns (changed, instance owner name).  Re-registering an
+        identical device is a no-op with changed=False.
+        """
+        if records is None:
+            records = self.device_records(reg)
+        owner = records[0].owner
         with self._lock:
-            additions = [rr for rr in wanted if rr not in self._records]
+            additions = [rr for rr in records if rr not in self._records]
             if not additions:
                 return False, owner
             self._mutate((), additions)
@@ -333,13 +326,24 @@ class Zone:
 
     # -- TXT data store ------------------------------------------------------
 
-    def update_txt(self, owner: Name, key: str, value: str, ttl: Optional[int] = None) -> JournalEntry:
-        """Set ``key=value`` data at an owner, replacing any previous value."""
+    def txt_record(self, owner: Name, key: str, value: str,
+                   ttl: Optional[int] = None) -> ResourceRecord:
+        """The record that sets ``key=value`` at an owner, checked to fit
+        a datagram answer."""
         rdata = txt_pair(key, value)
         ttl = ttl if ttl is not None else self.default_ttl
         with self._lock:
             record = ResourceRecord(self._known(owner), ttl, rdata)
-            _check_size_guard(record)
+        _check_size_guard(record)
+        return record
+
+    def update_txt(self, owner: Name, key: str, value: str, ttl: Optional[int] = None,
+                   record: Optional[ResourceRecord] = None) -> JournalEntry:
+        """Set ``key=value`` data at an owner, replacing any previous value.
+        ``record`` is the ``txt_record`` of these arguments, if built."""
+        with self._lock:
+            if record is None:
+                record = self.txt_record(owner, key, value, ttl)
             old = [
                 r for r in self.records_at(owner, TYPE_TXT)
                 if txt_key(r.rdata) == key
@@ -483,14 +487,12 @@ class Zone:
         return zone
 
     def _build_indexes(self) -> None:
-        """All three read indexes in one pass over the records and one sort."""
+        """All three read indexes in one pass over the records and two sorts."""
         grouped: dict[Name, list[ResourceRecord]] = {}
         for rr in self._records:
             grouped.setdefault(rr.owner, []).append(rr)
-        self._owners, self._below = {}, {}
-        for owner in sorted(grouped, key=len):  # parents first: _link finds their tuples
-            self._link(owner)
-            self._owners[owner] = tuple(grouped[owner])
+        self._owners = {owner: tuple(here) for owner, here in grouped.items()}
+        self._names = sorted(owner[::-1] for owner in grouped)
         self._ptrs = sorted(filter(None, map(self._ptr_entry, self._records)))
 
     # -- journal persistence -------------------------------------------------
@@ -520,17 +522,13 @@ def txt_pair(key: str, value: str) -> TXT:
 
 
 def txt_key(rdata: TXT) -> Optional[str]:
-    text = rdata.text
-    if "=" not in text:
-        return None
-    return text.split("=", 1)[0]
+    key, eq, _ = rdata.text.partition("=")
+    return key if eq else None
 
 
 def txt_value(rdata: TXT) -> Optional[str]:
-    text = rdata.text
-    if "=" not in text:
-        return None
-    return text.split("=", 1)[1]
+    _, eq, value = rdata.text.partition("=")
+    return value if eq else None
 
 
 def _check_size_guard(record: ResourceRecord) -> None:

@@ -15,6 +15,7 @@ from conftest import build_fixture_zone
 from semdns import client, server as server_module, wire
 from semdns.records import (
     A, CLASS_NONE, CNAME, PTR, ResourceRecord, SOA, SRV, TXT,
+    make_txt,
     TYPE_A, TYPE_ANY, TYPE_AXFR, TYPE_CNAME, TYPE_IXFR, TYPE_PTR, TYPE_SOA,
     TYPE_SRV, TYPE_TXT,
     parse_name,
@@ -33,8 +34,8 @@ from semdns.server import (
 )
 from semdns.wire import (
     Message, OPCODE_UPDATE, Question,
-    RCODE_FORMERR, RCODE_NOERROR, RCODE_NOTIMP, RCODE_NXDOMAIN, RCODE_REFUSED,
-    RCODE_SERVFAIL,
+    RCODE_FORMERR, RCODE_NOERROR, RCODE_NOTIMP, RCODE_NOTZONE, RCODE_NXDOMAIN,
+    RCODE_REFUSED, RCODE_SERVFAIL,
 )
 from semdns.zone import (
     DeviceRegistration, JournalFile, SplitPolicy, Zone, txt_pair, txt_value,
@@ -398,6 +399,44 @@ class TestUpdate:
         assert transfer.rcode == RCODE_NOERROR
         assert len(transfer.answers) == len(fixture_zone.records()) + 2
 
+    def test_refused_update_applies_nothing(self, fixture_zone):
+        # RFC 2136 §3.7: a TXT set before a refused registration is not kept
+        owner = parse_name("temperature.dr56._iot._udp")
+        reg = DeviceRegistration("pressure", "dr78", 70000, parse_name("dr78.unipr.it"))
+        updates = [ResourceRecord(owner, 100, txt_pair("temperature", "99")),
+                   ResourceRecord((REGISTER_LABEL,) + fixture_zone.service, 0,
+                                  txt_pair("register", pack_registration(reg)))]
+        txt, journal = fixture_zone.records_at(owner, TYPE_TXT), fixture_zone.journal()
+        assert fixture_zone.serial == 5
+        reply = wire.decode(dispatch(wire.encode(update_msg(updates)), fixture_zone,
+                                     ServerConfig(port=0), stream=False, source="127.0.0.1"))
+        assert reply.rcode == RCODE_REFUSED
+        assert fixture_zone.records_at(owner, TYPE_TXT) == txt
+        assert fixture_zone.serial == 5 and fixture_zone.journal() == journal
+
+    def test_record_outside_the_zone_is_notzone(self):
+        # RFC 2136 §3.4.1.3
+        zone = Zone(origin=parse_name("example.org"))
+        inside = ResourceRecord(parse_name("t.example.org"), 100, txt_pair("k", "v"))
+        outside = ResourceRecord(parse_name("www.evil.com"), 100, txt_pair("k", "v"))
+        msg = Message(id=1, opcode=OPCODE_UPDATE,
+                      questions=(Question(zone.origin, TYPE_SOA),),
+                      authority=(inside, outside))
+        reply = wire.decode(dispatch(wire.encode(msg), zone, ServerConfig(port=0),
+                                     stream=True, source="127.0.0.1"))
+        assert reply.rcode == RCODE_NOTZONE
+        assert zone.serial == 1 and zone.records() == []
+
+    @pytest.mark.parametrize("text", ["=x", "novalue"])
+    def test_txt_without_a_key_refused(self, fixture_zone, caplog, text):
+        owner = parse_name("temperature.dr56._iot._udp")
+        rr = ResourceRecord(owner, 100, make_txt(text))
+        reply = wire.decode(dispatch(wire.encode(update_msg([rr])), fixture_zone,
+                                     ServerConfig(port=0), stream=False, source="127.0.0.1"))
+        assert reply.rcode == RCODE_REFUSED
+        assert fixture_zone.serial == 5
+        assert "failed UPDATE" not in caplog.text
+
 
 @pytest.fixture(scope="module")
 def large_zone():
@@ -429,6 +468,21 @@ class TestDispatch:
                                    stream=True, source=None))
         assert not tcp.tc and len(tcp.answers) >= 80
 
+
+    def test_cname_loop_answers_ptr_as_other_types(self, caplog):
+        zone = Zone()
+        a, b = parse_name("a._iot._udp"), parse_name("b._iot._udp")
+        zone.add_record(ResourceRecord(a, 100, CNAME(b)))
+        zone.add_record(ResourceRecord(b, 100, CNAME(a)))
+        replies = {}
+        for qtype in (TYPE_SRV, TYPE_PTR):
+            q = wire.encode(Message(id=9, questions=(Question(a, qtype),)))
+            replies[qtype] = wire.decode(dispatch(q, zone, ServerConfig(port=0),
+                                                  stream=False, source=None))
+        srv, ptr = replies[TYPE_SRV], replies[TYPE_PTR]
+        assert srv.rcode == ptr.rcode == RCODE_NOERROR
+        assert len(srv.answers) == 8 and ptr.answers == srv.answers
+        assert not [r for r in caplog.records if r.exc_info]
 
     def test_query_with_tc_set_gets_a_complete_reply_without_tc(self, fixture_zone):
         q = wire.encode(Message(id=7, tc=True, questions=(

@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -412,6 +413,10 @@ def scan_has_owner(zone, records, owner):
                for r in records if len(r.owner) >= len(owner))
 
 
+def scan_subtree(records, apex):
+    return [r for r in records if not apex or r.owner[-len(apex):] == apex]
+
+
 def scan_identifier(zone, name):
     suffix = zone.service + zone.origin
     if len(name) < len(suffix) or name[-len(suffix):] != suffix:
@@ -502,6 +507,7 @@ def assert_indexes_match_scans(zone, probes=frozenset()):
         for rtype in (TYPE_CNAME, TYPE_NS, TYPE_PTR, TYPE_SRV, TYPE_TXT):
             assert zone.records_at(name, rtype) == scan_records_at(records, name, rtype)
         assert zone.has_owner(name) == scan_has_owner(zone, records, name), name
+        assert Counter(zone.subtree(name)) == Counter(scan_subtree(records, name)), name
         try:
             expected = scan_ptr_discover(zone, records, name)
         except ZoneError:
