@@ -27,8 +27,8 @@ from .records import (
 )
 from .wire import (
     Message, OPCODE_QUERY, OPCODE_UPDATE,
-    RCODE_FORMERR, RCODE_NOTIMP, RCODE_NOTZONE, RCODE_NXDOMAIN, RCODE_REFUSED,
-    RCODE_SERVFAIL,
+    RCODE_FORMERR, RCODE_NOERROR, RCODE_NOTIMP, RCODE_NOTZONE, RCODE_NXDOMAIN,
+    RCODE_REFUSED, RCODE_SERVFAIL,
 )
 from .zone import (
     DeviceRegistration, JournalFile, SizeGuardError, Zone, ZoneError,
@@ -43,6 +43,10 @@ UPDATE_TOKEN_KEY = "token"
 REGISTER_LABEL = "_register"
 #: a TCP message carries a 2-byte length prefix (RFC 1035 §4.2.2)
 MAX_STREAM_MESSAGE = 0xFFFF
+#: datagram replies a DnsServer keeps for repeated queries; the oldest go first
+REPLY_CACHE_SIZE = 4096
+#: query types whose answer reads more than the records at the query name
+_UNCACHED_QTYPES = frozenset({TYPE_ANY, TYPE_PTR, TYPE_SOA, TYPE_AXFR, TYPE_IXFR})
 
 
 @dataclass
@@ -300,15 +304,27 @@ def update_token_record(secret: str, owner: Name = ()) -> ResourceRecord:
 
 
 def dispatch(data: bytes, zone: Zone, config: ServerConfig,
-             stream: bool, source: Optional[str]) -> bytes:
+             stream: bool, source: Optional[str],
+             cache: Optional[dict] = None) -> bytes:
     """Decode, route, answer, encode; applies the datagram cap with TC
     and the stream-message cap with SERVFAIL.  A failure to answer or to
-    encode the answer is a SERVFAIL carrying the query's id."""
+    encode the answer is a SERVFAIL carrying the query's id.
+
+    ``cache``, for datagrams only, maps a query's bytes after its id to
+    the records at the query name it was answered from and the reply
+    after its id.  A query found there is answered from it, with no
+    decode, answer or encode, while the zone still holds that very tuple
+    of records at the name (``Zone.owner_records``)."""
+    if cache is not None:
+        hit = cache.get(data[2:])
+        if hit is not None and zone.owner_records(hit[0][0].owner) is hit[0]:
+            return data[:2] + hit[1]
     try:
         msg = wire.decode(data)
     except wire.WireError:
         msg_id = struct.unpack("!H", data[:2])[0] if len(data) >= 2 else 0
         return wire.encode(Message(id=msg_id, qr=True, rcode=RCODE_FORMERR))
+    here = None  # the records a cacheable reply is built from
     try:
         if msg.opcode == OPCODE_UPDATE:
             reply = handle_update(msg, zone, config, source)
@@ -319,6 +335,9 @@ def dispatch(data: bytes, zone: Zone, config: ServerConfig,
         elif msg.questions[0].qtype == TYPE_IXFR:
             reply = serve_ixfr(msg, zone, stream)
         else:
+            if cache is not None:
+                # read before answering: a write in between only costs a miss
+                here = _cache_version(msg, zone)
             reply = answer_query(msg, zone)
         payload = wire.encode(reply)
     except Exception:
@@ -332,7 +351,26 @@ def dispatch(data: bytes, zone: Zone, config: ServerConfig,
         # past the 2-byte length prefix; multi-message transfers are not served
         log.warning("answer of %d bytes exceeds one stream message: SERVFAIL", len(payload))
         payload = wire.encode(reply.reply(rcode=RCODE_SERVFAIL))
+    elif here and not stream and reply.rcode == RCODE_NOERROR:
+        cache[data[2:]] = (here, payload[2:])
+        if len(cache) > REPLY_CACHE_SIZE:
+            del cache[next(iter(cache))]
     return payload
+
+
+def _cache_version(msg: Message, zone: Zone):
+    """The records at the query name, if the reply to ``msg`` depends on
+    nothing else (one QUERY question, no CNAME, no zone-wide read), else
+    None."""
+    if msg.opcode != OPCODE_QUERY or len(msg.questions) != 1:
+        return None
+    q = msg.questions[0]
+    if q.qtype in _UNCACHED_QTYPES:
+        return None
+    here = zone.owner_records(q.qname)
+    if not here or any(r.rtype == TYPE_CNAME for r in here):
+        return None
+    return here
 
 
 class _Conn:
@@ -360,7 +398,12 @@ class DnsServer:
     (RFC 7766 pipelining), and replies the peer has not yet read wait
     in the output buffer.  Connections idle for IDLE_TIMEOUT seconds
     are closed; at MAX_CONNECTIONS the longest-idle one makes room for
-    a new peer.
+    a new peer.  Repeated datagram queries are answered from a reply
+    cache of at most REPLY_CACHE_SIZE entries (see ``dispatch``).
+
+    With a journal file, the zone adopts the file's history and then
+    replays the entries after its serial; a gap or a deletion of a
+    missing record raises ZoneError and no server is made.
     """
 
     IDLE_TIMEOUT = 10.0
@@ -372,8 +415,15 @@ class DnsServer:
         self._journal_file = None
         if config.journal_file:
             self._journal_file = JournalFile(config.journal_file)
-            zone.load_journal(self._journal_file.load())
+            entries = self._journal_file.load()
+            zone.load_journal(entries)
+            # the replayed entries are in the file already: persist only later ones
+            replayed = zone.replay_journal(entries)
+            if replayed:
+                log.info("replayed %d journal entries, now at serial %d", replayed, zone.serial)
             zone.on_mutate = self._persist
+        #: datagram reply cache, see dispatch; the selector thread alone uses it
+        self._replies: dict[bytes, tuple] = {}
         self._udp, self._tcp = _bind_pair(config.host, config.port)
         self.port: int = self._udp.getsockname()[1]
         self._wake_r, self._wake_w = socket.socketpair()
@@ -447,7 +497,8 @@ class DnsServer:
                 data, addr = self._udp.recvfrom(_MAX_DATAGRAM)
             except BlockingIOError:
                 return
-            payload = dispatch(data, self.zone, self.config, stream=False, source=addr[0])
+            payload = dispatch(data, self.zone, self.config, stream=False, source=addr[0],
+                               cache=self._replies)
             try:
                 self._udp.sendto(payload, addr)
             except OSError as exc:

@@ -27,6 +27,15 @@ three read indexes that the writer path keeps current:
 
 Two paths still scan the list: the duplicate check in
 ``register_device`` and the removal of deleted records in ``_mutate``.
+
+``owner_records`` hands out the owner map's tuple itself, not a copy.
+The writer path never changes a tuple in place: every change at an
+owner stores a new one.  So a reader that keeps the tuple it read can
+tell whether the owner has changed since with ``is``; the server's
+datagram reply cache uses that tuple as the version of its entries.
+
+The journal holds consecutive serials ending at the zone serial, so
+the steps of an incremental transfer are one slice of it.
 """
 
 from __future__ import annotations
@@ -177,6 +186,13 @@ class Zone:
             if rtype is None:
                 return list(here)
             return [r for r in here if r.rdata.rtype == rtype]
+
+    def owner_records(self, owner: Name) -> tuple[ResourceRecord, ...]:
+        """The owner map's own tuple of the records at ``owner`` (empty if
+        none).  Any change at the owner stores a new tuple, so the one
+        returned stays unchanged and identifies this state of the owner."""
+        with self._lock:
+            return self._owners.get(owner, ())
 
     def subtree(self, apex: Name) -> list[ResourceRecord]:
         """The records at and below ``apex``, grouped by owner name."""
@@ -448,15 +464,19 @@ class Zone:
             return [soa, *self._records, soa]
 
     def ixfr_diff(self, from_serial: int) -> IxfrDiff:
+        """The journal entries after ``from_serial``: the last k, for k
+        serials between it and now, if the journal holds exactly those."""
         with self._lock:
             current = self._serial
             if from_serial == current or serial_gt(from_serial, current):
                 return IxfrDiff(from_serial, current, ())
-            steps = [e for e in self._journal if serial_gt(e.serial, from_serial)]
-            # gapless only if the journal still reaches back to from_serial+1
-            if not steps or steps[0].serial != (from_serial + 1) % _SERIAL_MOD:
+            journal = self._journal
+            k = (current - from_serial) % _SERIAL_MOD
+            # exact only if the slice starts at from_serial+1 and ends now
+            if (k > len(journal) or journal[-k].serial != (from_serial + 1) % _SERIAL_MOD
+                    or journal[-1].serial != current):
                 return IxfrDiff(from_serial, current, (), fallback=True)
-            return IxfrDiff(from_serial, current, tuple(steps))
+            return IxfrDiff(from_serial, current, tuple(journal[-k:]))
 
     # -- master file ---------------------------------------------------------
 
@@ -498,11 +518,40 @@ class Zone:
     # -- journal persistence -------------------------------------------------
 
     def load_journal(self, entries: Iterable[JournalEntry]) -> None:
-        """Adopt persisted history (entries at or below the current serial)."""
+        """Adopt persisted history: the run of consecutive serials that
+        ends with the last entry at the current serial.  Entries after
+        that serial are left to ``replay_journal``."""
         with self._lock:
-            self._journal = [e for e in entries
-                             if e.serial == self._serial or serial_gt(self._serial, e.serial)]
-            self._journal = self._journal[-self.journal_retention :]
+            run: list[JournalEntry] = []
+            wanted = self._serial
+            for entry in reversed(list(entries)):
+                if entry.serial == wanted:
+                    run.append(entry)
+                    wanted = (wanted - 1) % _SERIAL_MOD
+                elif run:
+                    break
+            self._journal = run[::-1][-self.journal_retention:]
+
+    def replay_journal(self, entries: Iterable[JournalEntry]) -> int:
+        """Apply, in order and through the writer path, the entries after
+        the current serial; returns how many.  Raises ZoneError, naming
+        the entry, at a serial gap or a deletion of a missing record: the
+        zone is then half replayed and must not be served."""
+        with self._lock:
+            start, applied = self._serial, 0
+            for entry in entries:
+                if not serial_gt(entry.serial, start):
+                    continue
+                expected = (self._serial + 1) % _SERIAL_MOD
+                if entry.serial != expected:
+                    raise ZoneError(
+                        f"journal entry {entry.serial}: not the next serial {expected}")
+                try:
+                    self._mutate(entry.deletions, entry.additions)
+                except ZoneError as exc:
+                    raise ZoneError(f"journal entry {entry.serial}: {exc}") from None
+                applied += 1
+            return applied
 
 
 def serial_gt(a: int, b: int) -> bool:

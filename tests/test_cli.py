@@ -1,8 +1,11 @@
 import json
+import logging
 
 import pytest
 
 from semdns.cli import main
+from semdns.records import A, ResourceRecord
+from semdns.zone import JournalEntry, journal_entry_to_json
 
 
 def run(capsys, *argv):
@@ -233,3 +236,15 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
+
+
+class TestServe:
+    def test_journal_with_a_gap_is_refused(self, capsys, tmp_path, fixture_zone, monkeypatch):
+        monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: None)
+        zone_file, journal = tmp_path / "zone.txt", tmp_path / "journal.jsonl"
+        zone_file.write_text(fixture_zone.export_master_file())  # serial 5
+        entry = JournalEntry(7, (), (ResourceRecord(("x",), 60, A("10.0.0.1")),))
+        journal.write_text(journal_entry_to_json(entry) + "\n")
+        code, _, err = run(capsys, "serve", "--zone-file", str(zone_file),
+                           "--journal", str(journal), "--port", "0")
+        assert code == 1 and "error: journal entry 7" in err

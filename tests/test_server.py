@@ -517,6 +517,168 @@ class TestDispatch:
         assert reply.rcode == RCODE_SERVFAIL and reply.id == 0x5151 and not reply.answers
 
 
+def udp_query(name, qtype, msg_id=1, rd=False):
+    return wire.encode(Message(id=msg_id, rd=rd, questions=(Question(name, qtype),)))
+
+
+def uncached(data, zone):
+    return dispatch(data, zone, ServerConfig(port=0), stream=False, source="127.0.0.1")
+
+
+def cached(data, zone, cache):
+    return dispatch(data, zone, ServerConfig(port=0), stream=False, source="127.0.0.1",
+                    cache=cache)
+
+
+class TestReplyCache:
+    OWNER = parse_name("temperature.dr56._iot._udp")
+
+    def test_hit_skips_decode_answer_and_encode(self, fixture_zone, monkeypatch):
+        cache = {}
+        first = cached(udp_query(self.OWNER, TYPE_SRV, 1), fixture_zone, cache)
+        assert len(cache) == 1
+        data = udp_query(self.OWNER, TYPE_SRV, 0xBEEF)
+
+        def boom(*args):
+            raise AssertionError("a hit must not reach the codec or the answer")
+        for module, name in ((wire, "decode"), (wire, "encode"),
+                             (server_module, "answer_query")):
+            monkeypatch.setattr(module, name, boom)
+        again = cached(data, fixture_zone, cache)
+        assert again == b"\xbe\xef" + first[2:]
+
+    def test_change_at_the_owner_is_a_miss(self, fixture_zone):
+        cache = {}
+        data = udp_query(self.OWNER, TYPE_TXT)
+        cached(data, fixture_zone, cache)
+        fixture_zone.update_txt(self.OWNER, "temperature", "15")
+        reply = wire.decode(cached(data, fixture_zone, cache))
+        assert [r.rdata.text for r in reply.answers] == ["temperature=15"]
+        assert cached(data, fixture_zone, cache) == uncached(data, fixture_zone)
+
+    @pytest.mark.parametrize("name, qtype", [
+        ("temperature.dr56._iot._udp", TYPE_ANY),
+        ("_dr._iot._udp", TYPE_PTR),
+        ("dr56._iot._udp", TYPE_PTR),
+        (".", TYPE_SOA),
+        ("nothing.dr56._iot._udp", TYPE_SRV),  # NXDOMAIN
+        ("_iot._udp", TYPE_SRV),  # an empty non-terminal
+        ("temperature.dr56._iot._udp", TYPE_AXFR),
+    ])
+    def test_replies_that_read_more_than_the_owner_are_not_stored(
+            self, fixture_zone, name, qtype):
+        cache = {}
+        cached(udp_query(parse_name(name), qtype), fixture_zone, cache)
+        assert cache == {}
+
+    def test_oversize_owner_gets_the_empty_tc_reply_and_is_not_stored(self, fixture_zone):
+        big = parse_name("big.dr56._iot._udp")
+        for i in range(20):
+            fixture_zone.add_record(ResourceRecord(big, 100, make_txt(f"k{i}=" + "x" * 80)))
+        cache = {}
+        data = udp_query(big, TYPE_TXT)
+        reply = cached(data, fixture_zone, cache)
+        assert reply == uncached(data, fixture_zone)
+        decoded = wire.decode(reply)
+        assert decoded.tc and not decoded.answers
+        assert cache == {}
+
+    def test_cname_owner_is_not_stored(self, fixture_zone):
+        alias, target = parse_name("alias.unipr.it"), parse_name("dr56.unipr.it")
+        fixture_zone.add_record(ResourceRecord(alias, 100, CNAME(target)))
+        cache = {}
+        data = udp_query(alias, TYPE_A)
+        first = wire.decode(cached(data, fixture_zone, cache))
+        assert [r.rtype for r in first.answers] == [TYPE_CNAME, TYPE_A]
+        # a change at the target shows at once through the alias
+        fixture_zone.add_record(ResourceRecord(target, 100, A("160.78.28.204")))
+        second = wire.decode(cached(data, fixture_zone, cache))
+        assert len(second.answers) == 3
+        assert alias not in [entry[0][0].owner for entry in cache.values()]
+
+    def test_cache_never_grows_past_its_cap(self, fixture_zone):
+        cache = {}
+        # each query type is a distinct key, and each reply is a cacheable empty NOERROR
+        qtypes = range(1000, 1000 + server_module.REPLY_CACHE_SIZE + 10)
+        for qtype in qtypes:
+            cached(udp_query(self.OWNER, qtype), fixture_zone, cache)
+            assert len(cache) <= server_module.REPLY_CACHE_SIZE
+        assert len(cache) == server_module.REPLY_CACHE_SIZE
+        # the oldest went first
+        assert udp_query(self.OWNER, qtypes[9])[2:] not in cache
+        assert udp_query(self.OWNER, qtypes[10])[2:] in cache
+
+    def test_tcp_never_reads_the_cache(self, serve):
+        srv = serve()
+        data = udp_query(self.OWNER, TYPE_TXT, msg_id=0x0102)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp:
+            udp.settimeout(5)
+            udp.sendto(data, ("127.0.0.1", srv.port))
+            good = udp.recv(65535)
+            # a poisoned entry shows on the datagram path and nowhere else
+            (here, _), = srv._replies.values()
+            srv._replies[data[2:]] = (here, b"poison")
+            udp.sendto(data, ("127.0.0.1", srv.port))
+            assert udp.recv(65535) == b"\x01\x02poison"
+        with tcp_connect(srv.port) as sock:
+            sock.sendall(struct.pack("!H", len(data)) + data)
+            (length,) = struct.unpack("!H", client._recv_exact(sock, 2))
+            assert client._recv_exact(sock, length) == good
+
+    def test_datagram_replies_equal_uncached_dispatch(self, serve):
+        """Random UPDATEs between random datagram queries: every reply is,
+        byte for byte, what dispatch without the cache gives on the zone."""
+        rng = random.Random(20261019)
+        srv = serve()
+        zone, port = srv.zone, srv.port
+        owners = [parse_name(n) for n in (
+            "temperature.dr56._iot._udp", "humidity.dr12._iot._udp",
+            "temperature.dr34._iot._udp")]
+        names = owners + [parse_name(n) for n in (
+            "dr56.unipr.it", "_dr._iot._udp", "dr56._iot._udp", "nothing.dr56._iot._udp",
+            "co2.dr77._iot._udp")]
+        qtypes = (TYPE_SRV, TYPE_TXT, TYPE_TXT, TYPE_A, TYPE_PTR, TYPE_ANY, TYPE_SOA)
+        answered = []
+        real_answer = server_module.answer_query
+
+        def counting(msg, zone):
+            if threading.current_thread().name == "semdns-server":
+                answered.append(msg.id)
+            return real_answer(msg, zone)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(server_module, "answer_query", counting)
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp:
+                udp.settimeout(5)
+                queries = 0
+                for _ in range(600):
+                    roll = rng.random()
+                    if roll < 0.12:
+                        owner = rng.choice(owners)
+                        client.send_update("127.0.0.1", port, (), [client.txt_update_record(
+                            owner, rng.choice("ab"), str(rng.randrange(5)), 100)])
+                    elif roll < 0.18:
+                        client.send_update("127.0.0.1", port, (), [client.txt_delete_record(
+                            rng.choice(owners), rng.choice("ab"))])
+                    elif roll < 0.21:
+                        ident = "dr%02d" % rng.randrange(70, 80)
+                        client.register_device("127.0.0.1", port, (), ("_iot", "_udp"),
+                                               DeviceRegistration(
+                                                   "co2", ident, rng.randrange(1024, 2048),
+                                                   parse_name(f"{ident}.unipr.it")))
+                    else:
+                        name = rng.choice(names)
+                        if rng.random() < 0.3:
+                            name = tuple(l.upper() for l in name)
+                        data = udp_query(name, rng.choice(qtypes), rng.randrange(1 << 16),
+                                         rd=rng.random() < 0.5)
+                        udp.sendto(data, ("127.0.0.1", port))
+                        assert udp.recv(65535) == uncached(data, zone), wire.decode(data)
+                        queries += 1
+        # many datagrams were answered from the cache, not all of them
+        assert queries / 10 < queries - len(answered) < queries
+        assert 0 < len(srv._replies) <= server_module.REPLY_CACHE_SIZE
+
+
 PROPERTY_ZONE = build_fixture_zone()
 SRV_QUERY = wire.encode(Message(id=0x1234, questions=(
     Question(parse_name("temperature.dr56._iot._udp"), TYPE_SRV),)))
@@ -614,6 +776,31 @@ class TestLiveServer:
         finally:
             server2.shutdown()
 
+
+    def test_restart_replays_the_journal(self, tmp_path):
+        # a master file at serial 1, and one TXT set before each of two restarts
+        first = Zone(serial=0)
+        first.register_device(DeviceRegistration(
+            "temperature", "dr56", 8080, parse_name("dr56.unipr.it")))
+        text = first.export_master_file()
+        path = tmp_path / "journal.jsonl"
+        owner = parse_name("temperature.dr56._iot._udp")
+        seen = []
+        for value in ("1", "2"):
+            zone = Zone.from_master_file(text, policy=first.policy)
+            server = DnsServer(zone, ServerConfig(port=0, journal_file=str(path)))
+            server.start()
+            try:
+                reply = client.send_update("127.0.0.1", server.port, (),
+                                           [client.txt_update_record(owner, "a", value, 100)])
+                assert reply.rcode == RCODE_NOERROR
+                soa = client.query("127.0.0.1", server.port, (), TYPE_SOA).answers[0]
+                txt = client.query("127.0.0.1", server.port, owner, TYPE_TXT).answers
+                seen.append((soa.rdata.serial, [r.rdata.text for r in txt]))
+            finally:
+                server.shutdown()
+        assert seen == [(2, ["a=1"]), (3, ["a=2"])]
+        assert [e.serial for e in JournalFile(path).load()] == [2, 3]
 
     def test_journal_readable_before_shutdown(self, tmp_path):
         path = tmp_path / "journal.jsonl"

@@ -17,6 +17,7 @@ from semdns.records import (
 )
 from semdns.zone import (
     DeviceRegistration,
+    JournalEntry,
     JournalFile,
     SizeGuardError,
     SplitPolicy,
@@ -344,6 +345,109 @@ class TestIxfr:
         zone = Zone(serial=0)
         zone.load_journal(old.journal())
         assert [e.serial for e in zone.journal()] == [2**32 - 1, 0]
+
+
+def journal_entries(*serials):
+    return [JournalEntry(s, (), (ResourceRecord((f"s{s}",), 60, A("10.0.0.1")),))
+            for s in serials]
+
+
+class TestIxfrSlice:
+    def test_journal_short_of_the_serial_falls_back(self):
+        # entries 3 and 4 do not lead to serial 6: a secondary must not claim it
+        zone = Zone(serial=6)
+        zone.load_journal(journal_entries(2, 3, 4))
+        assert zone.ixfr_diff(2).fallback and zone.ixfr_diff(3).fallback
+
+    @pytest.mark.parametrize("serials, kept", [
+        ([2, 3, 4, 5], [2, 3, 4, 5]),
+        ([2, 3, 2, 3, 4, 5], [2, 3, 4, 5]),
+        ([2, 3, 5], [5]),
+        ([2, 3, 4], []),
+        ([4, 5, 6, 7], [4, 5]),
+        ([2**32 - 1, 0, 1, 2, 3, 4, 5], [2**32 - 1, 0, 1, 2, 3, 4, 5]),
+    ])
+    def test_load_keeps_the_run_ending_at_the_serial(self, serials, kept):
+        zone = Zone(serial=5)
+        zone.load_journal(journal_entries(*serials))
+        assert [e.serial for e in zone.journal()] == kept
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.one_of(st.sampled_from([1, 2**32 - 6, 2**32 - 2, 2**32 - 1]),
+                        st.integers(0, 2**32 - 1)),
+        mutations=st.integers(0, 12),
+        retention=st.integers(1, 8),
+        restart=st.one_of(st.none(), st.integers(0, 3)),
+    )
+    def test_slice_matches_a_scan_of_the_journal(self, start, mutations, retention, restart):
+        zone = Zone(serial=start, journal_retention=retention)
+        for i in range(mutations):
+            zone.add_record(ResourceRecord((f"d{i}",), 60, A("10.0.0.1")))
+        if restart is not None:
+            # a restart at this serial or past it, as after a lost journal tail
+            reborn = Zone(serial=(zone.serial + restart) % 2**32, journal_retention=retention)
+            reborn.load_journal(zone.journal())
+            zone = reborn
+        current, journal = zone.serial, zone.journal()
+        for back in range(-2, mutations + 4):
+            from_serial = (current - back) % 2**32
+            diff = zone.ixfr_diff(from_serial)
+            assert diff.to_serial == current
+            if from_serial == current or serial_gt(from_serial, current):
+                assert diff.steps == () and not diff.fallback
+                continue
+            steps = [e for e in journal if serial_gt(e.serial, from_serial)]
+            if (steps and steps[0].serial == (from_serial + 1) % 2**32
+                    and steps[-1].serial == current):
+                assert diff.steps == tuple(steps) and not diff.fallback
+            else:
+                assert diff.fallback and diff.steps == ()
+
+
+class TestReplay:
+    def owner(self):
+        return parse_name("temperature.dr56._iot._udp")
+
+    def history(self):
+        """The fixture zone's master file at serial 5, and three later entries."""
+        zone = build_fixture_zone()
+        text = zone.export_master_file()
+        for value in ("15", "16", "17"):
+            zone.update_txt(self.owner(), "temperature", value)
+        return text, zone
+
+    def test_replay_applies_the_entries_after_the_serial(self):
+        text, live = self.history()
+        reborn = Zone.from_master_file(text, policy=live.policy)
+        entries = live.journal()
+        reborn.load_journal(entries)
+        assert reborn.replay_journal(entries) == 3
+        assert reborn.serial == live.serial == 8
+        assert sorted(map(str, reborn.records())) == sorted(map(str, live.records()))
+        assert reborn.journal() == entries
+        assert reborn.ixfr_diff(4).steps == tuple(entries[-4:])
+
+    def test_nothing_to_replay_at_the_last_serial(self):
+        _, live = self.history()
+        reborn = Zone.from_master_file(live.export_master_file(), policy=live.policy)
+        assert reborn.replay_journal(live.journal()) == 0 and reborn.serial == 8
+
+    def test_gap_is_refused_naming_the_entry(self):
+        text, live = self.history()
+        reborn = Zone.from_master_file(text, policy=live.policy)
+        entries = live.journal()
+        del entries[-2]  # serial 7
+        with pytest.raises(ZoneError, match="journal entry 8"):
+            reborn.replay_journal(entries)
+
+    def test_deletion_of_a_missing_record_is_refused_naming_the_entry(self):
+        text, live = self.history()
+        reborn = Zone.from_master_file(text, policy=live.policy)
+        entries = live.journal()
+        ghost = JournalEntry(9, (ResourceRecord(("g",), 60, A("10.0.0.1")),), ())
+        with pytest.raises(ZoneError, match="journal entry 9: cannot delete missing"):
+            reborn.replay_journal(entries + [ghost])
 
 
 class TestAxfr:
