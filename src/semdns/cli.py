@@ -13,11 +13,13 @@ import logging
 import os
 import sys
 
-from . import client, geo, names
-from .bits import DecodeError
-from .contexts import ContextError, LogicalLocation, default_registry, encode_logical, encode_tree_path, load_registry
+# the identifier codecs (semdns.contexts, .geo, .names) load on first use,
+# so the network commands never import them, nor hashlib and OpenSSL
+import semdns
+
+from . import client
 from .records import (
-    RecordError, ResourceRecord, TYPE_CODES, TYPE_NAMES,
+    ResourceRecord, TYPE_CODES, TYPE_NAMES,
     export_master_file, name_text, parse_name,
 )
 from .server import DnsServer, ServerConfig
@@ -89,8 +91,8 @@ def _record_json(r: ResourceRecord) -> dict:
 def _load_registry(args):
     if getattr(args, "registry", None):
         with open(args.registry, encoding="utf-8") as fh:
-            return load_registry(fh.read())
-    return default_registry()
+            return semdns.contexts.load_registry(fh.read())
+    return semdns.contexts.default_registry()
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +100,7 @@ def _load_registry(args):
 
 
 def cmd_encode_geo(args) -> int:
+    geo = semdns.geo
     point = geo.GeoPoint(args.latitude, args.longitude)
     label = geo.encode_geohash(point, args.length)
     payload = {"command": "encode-geo", "label": label}
@@ -117,7 +120,7 @@ def cmd_encode_geo(args) -> int:
 
 
 def cmd_decode_geo(args) -> int:
-    cell = geo.decode_geohash(args.label)
+    cell = semdns.geo.decode_geohash(args.label)
     center = cell.center
     payload = {
         "command": "decode-geo",
@@ -133,7 +136,7 @@ def cmd_decode_geo(args) -> int:
 def cmd_encode_tree(args) -> int:
     registry = _load_registry(args)
     tree = registry.tree(args.context)
-    ident = encode_tree_path(tree, args.path, registry.lookup(args.context))
+    ident = semdns.contexts.encode_tree_path(tree, args.path, registry.lookup(args.context))
     _emit(args, {"command": "encode-tree", "label": ident.label,
                  "partial": ident.partial}, ident.label)
     return EXIT_OK
@@ -141,8 +144,9 @@ def cmd_encode_tree(args) -> int:
 
 def cmd_encode_logical(args) -> int:
     registry = _load_registry(args)
-    ident = encode_logical(
-        LogicalLocation(args.building, args.floor, args.room),
+    contexts = semdns.contexts
+    ident = contexts.encode_logical(
+        contexts.LogicalLocation(args.building, args.floor, args.room),
         registry.lookup(args.context),
     )
     _emit(args, {"command": "encode-logical", "label": ident.label}, ident.label)
@@ -157,8 +161,8 @@ def cmd_derive_name(args) -> int:
             key = fh.read()
     else:
         key = args.key.encode()
-    name = names.derive_name(key)
-    eui = names.derive_eui64(name)
+    name = semdns.names.derive_name(key)
+    eui = semdns.names.derive_eui64(name)
     payload = {"command": "derive-name", "label": name.label,
                "digest_hex": name.digest.hex(), "eui64": str(eui)}
     _emit(args, payload, f"{name.label}\neui64: {eui}")
@@ -387,8 +391,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ContextError, RecordError, DecodeError, geo.GeoError,
-            names.NameError_, ValueError) as exc:
+    except ValueError as exc:  # every codec and record error subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except client.ClientError as exc:

@@ -36,11 +36,10 @@ class ClientError(OSError):
     pass
 
 
-def _udp_exchange(host: str, port: int, query: Message, payload: bytes,
-                  timeout: float) -> Message:
-    """Send one datagram and wait for the reply carrying the query's id and
-    question; any other datagram (a stray or forged reply, or one that
-    does not decode) is dropped and the wait goes on until the timeout."""
+def _udp_exchange(host: str, port: int, payload: bytes, timeout: float) -> Message:
+    """Send one datagram and wait for the reply that ``_answers`` it; any
+    other datagram (a stray or forged reply, or one that does not decode)
+    is dropped and the wait goes on until the timeout."""
     deadline = time.monotonic() + timeout
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
         sock.sendto(payload, (host, port))
@@ -50,14 +49,12 @@ def _udp_exchange(host: str, port: int, query: Message, payload: bytes,
                 data, _ = sock.recvfrom(65535)
             except socket.timeout:
                 break
-            if data[:2] != payload[:2]:
+            if not _answers(payload, data):
                 continue
             try:
-                reply = wire.decode(data)
+                return wire.decode(data)
             except wire.WireError:
                 continue
-            if reply.questions == query.questions:
-                return reply
     raise ClientError(f"timeout waiting for {host}:{port}")
 
 
@@ -125,12 +122,9 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 def _answers(query: bytes, reply: bytes) -> bool:
     """Whether ``reply`` carries the id, QDCOUNT and, byte for byte, the
-    question section of ``query`` (a message this client encoded)."""
-    end = 12
-    for _ in range(_U16.unpack_from(query, 4)[0]):
-        while 0 < query[end] < 0xC0:  # a label
-            end += 1 + query[end]
-        end += (2 if query[end] else 1) + 4  # a pointer or the root, then type and class
+    question section of ``query`` (a message this client encoded).  The
+    letter case of the names must match too: the server echoes it."""
+    end = wire.question_end(query)
     return (reply[:2] == query[:2] and reply[4:6] == query[4:6]
             and reply[12:end] == query[12:end])
 
@@ -185,7 +179,7 @@ def exchange(msg: Message, host: str, port: int,
              tcp: bool = False, timeout: float = DEFAULT_TIMEOUT) -> Message:
     payload = wire.encode(msg)
     if not tcp:
-        reply = _udp_exchange(host, port, msg, payload, timeout)
+        reply = _udp_exchange(host, port, payload, timeout)
         if not reply.tc:
             return reply
     return wire.decode(_tcp_exchange(host, port, payload, timeout))

@@ -220,18 +220,20 @@ def handle_update(
         log.warning("failed UPDATE: %s", exc)
         return msg.reply(rcode=RCODE_SERVFAIL, additional=())
     status: list[ResourceRecord] = []
-    for rr, key, reg, added in ops:
-        if reg is not None:
-            changed, owner = zone.register_device(reg, added)
-            status.append(ResourceRecord(
-                owner, 0,
-                txt_pair("status", "registered" if changed else "unchanged"),
-            ))
-        elif added is not None:
-            zone.update_txt(rr.owner, key, txt_value(rr.rdata), ttl=rr.ttl, record=added)
-        # deleting data that is not there is a no-op (RFC 2136 §3.4.2.3)
-        elif any(txt_key(r.rdata) == key for r in zone.records_at(rr.owner, TYPE_TXT)):
-            zone.delete_txt(rr.owner, key)
+    # one serial and one journal entry for the whole update (RFC 2136 §3.7)
+    with zone.batch():
+        for rr, key, reg, added in ops:
+            if reg is not None:
+                changed, owner = zone.register_device(reg, added)
+                status.append(ResourceRecord(
+                    owner, 0,
+                    txt_pair("status", "registered" if changed else "unchanged"),
+                ))
+            elif added is not None:
+                zone.update_txt(rr.owner, key, txt_value(rr.rdata), ttl=rr.ttl, record=added)
+            # deleting data that is not there is a no-op (RFC 2136 §3.4.2.3)
+            elif any(txt_key(r.rdata) == key for r in zone.records_at(rr.owner, TYPE_TXT)):
+                zone.delete_txt(rr.owner, key)
     return msg.reply(additional=tuple(status))
 
 
@@ -308,7 +310,8 @@ def dispatch(data: bytes, zone: Zone, config: ServerConfig,
              cache: Optional[dict] = None) -> bytes:
     """Decode, route, answer, encode; applies the datagram cap with TC
     and the stream-message cap with SERVFAIL.  A failure to answer or to
-    encode the answer is a SERVFAIL carrying the query's id.
+    encode the answer is a SERVFAIL carrying the query's id.  The reply
+    echoes the question in the query's own letter case.
 
     ``cache``, for datagrams only, maps a query's bytes after its id to
     the records at the query name it was answered from and the reply
@@ -347,15 +350,31 @@ def dispatch(data: bytes, zone: Zone, config: ServerConfig,
     if not stream and len(payload) > wire.MAX_UDP_PAYLOAD:
         # too big for a datagram: empty truncated reply, client retries on stream
         payload = wire.encode(reply.reply(tc=True))
+        here = None
     elif stream and len(payload) > MAX_STREAM_MESSAGE:
         # past the 2-byte length prefix; multi-message transfers are not served
         log.warning("answer of %d bytes exceeds one stream message: SERVFAIL", len(payload))
         payload = wire.encode(reply.reply(rcode=RCODE_SERVFAIL))
-    elif here and not stream and reply.rcode == RCODE_NOERROR:
+    payload = _echo_question(data, payload)
+    if here and not stream and reply.rcode == RCODE_NOERROR:
         cache[data[2:]] = (here, payload[2:])
         if len(cache) > REPLY_CACHE_SIZE:
             del cache[next(iter(cache))]
     return payload
+
+
+def _echo_question(query: bytes, payload: bytes) -> bytes:
+    """``payload`` with the question bytes of ``query``, in the letter
+    case the query spelled them (DNS 0x20): the decoder lower-cases
+    names.  Only a one-question reply whose question equals the query's
+    but for case is changed; a compressed or odd query is left alone."""
+    if query[4:6] != b"\0\1":  # the reply echoes the query's question count
+        return payload
+    end = wire.question_end(payload)
+    asked = query[12:end]
+    if asked == payload[12:end] or asked.lower() != payload[12:end].lower():
+        return payload
+    return payload[:12] + asked + payload[end:]
 
 
 def _cache_version(msg: Message, zone: Zone):
@@ -415,13 +434,9 @@ class DnsServer:
         self._journal_file = None
         if config.journal_file:
             self._journal_file = JournalFile(config.journal_file)
-            entries = self._journal_file.load()
-            zone.load_journal(entries)
-            # the replayed entries are in the file already: persist only later ones
-            replayed = zone.replay_journal(entries)
+            replayed = self._journal_file.attach(zone)
             if replayed:
                 log.info("replayed %d journal entries, now at serial %d", replayed, zone.serial)
-            zone.on_mutate = self._persist
         #: datagram reply cache, see dispatch; the selector thread alone uses it
         self._replies: dict[bytes, tuple] = {}
         self._udp, self._tcp = _bind_pair(config.host, config.port)
@@ -436,9 +451,6 @@ class DnsServer:
         self._next_reap: Optional[float] = None  # no connection can be idle before this
         self._stopping = False
         self._thread: Optional[threading.Thread] = None
-
-    def _persist(self, entry):
-        self._journal_file.append(entry)
 
     def start(self) -> None:
         self._thread = threading.Thread(target=self._serve, name="semdns-server", daemon=True)

@@ -151,6 +151,18 @@ def encode(msg: Message) -> bytes:
     return bytes(buf)
 
 
+def question_end(data: bytes) -> int:
+    """The offset just past the question section of a message this
+    codec encoded: its labels are well formed and a compression pointer
+    ends a name."""
+    end = _HEADER.size
+    for _ in range(_U16.unpack_from(data, 4)[0]):
+        while 0 < data[end] < 0xC0:  # a label
+            end += 1 + data[end]
+        end += (2 if data[end] else 1) + _QUESTION.size  # a pointer or the root
+    return end
+
+
 # ---------------------------------------------------------------------------
 # Decoding
 

@@ -4,8 +4,11 @@ The zone is the single source of truth the server answers from.  Every
 mutation (device registration, TXT data update, CNAME fan-out) goes
 through one writer path that bumps the SOA serial and appends a diff to
 the change journal, so incremental transfers can replay any retained
-serial.  Serials follow RFC 1982 arithmetic: they wrap from 2**32-1 to 0.
-Reads copy under the same lock; there are no torn snapshots.
+serial.  Writes made inside ``Zone.batch()`` (one dynamic UPDATE) share
+one serial and one journal entry (RFC 2136 §3.7); the writer methods
+return the entry they made, or None inside a batch.  Serials follow RFC
+1982 arithmetic: they wrap from 2**32-1 to 0.  Reads copy under the
+same lock; there are no torn snapshots.
 
 Device discovery follows DNS-SD: registration stores an SRV (and
 optional TXT data) at ``<instance>.<identifier labels>.<service>`` plus
@@ -44,7 +47,9 @@ import itertools
 import json
 import threading
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from . import wire
@@ -113,6 +118,15 @@ class JournalEntry:
     additions: tuple[ResourceRecord, ...]
 
 
+@dataclass
+class _Batch:
+    """The writes made so far inside ``Zone.batch()``, as one net diff."""
+
+    deletions: list[ResourceRecord] = field(default_factory=list)
+    additions: list[ResourceRecord] = field(default_factory=list)
+    wrote: bool = False
+
+
 @dataclass(frozen=True)
 class IxfrDiff:
     """Per-serial steps from the client's serial to now; or a fallback."""
@@ -153,6 +167,7 @@ class Zone:
         self._names: list[Name] = []  # owner names, labels reversed, sorted
         self._ptrs: list[tuple[str, Name]] = []
         self._journal: list[JournalEntry] = []
+        self._batch: Optional[_Batch] = None  # the open batch, see batch()
         self._lock = threading.RLock()
         # set by the service to persist diffs as they happen
         self.on_mutate = None
@@ -228,25 +243,74 @@ class Zone:
         self,
         deletions: Sequence[ResourceRecord],
         additions: Sequence[ResourceRecord],
-    ) -> JournalEntry:
+    ) -> Optional[JournalEntry]:
+        """Apply one diff to the records and indexes, all or nothing: a
+        deletion of a record the zone does not hold (as many times as it
+        is listed) raises ZoneError before anything changes.  Outside a
+        batch, bumps the serial and returns the journal entry; inside
+        one, folds the diff into the batch's and returns None."""
         with self._lock:
+            if deletions:
+                for rr, n in Counter(deletions).items():
+                    if self._owners.get(rr.owner, ()).count(rr) < n:
+                        raise ZoneError(f"cannot delete missing record {rr.render()}")
             for rr in deletions:
-                try:
-                    self._records.remove(rr)
-                except ValueError:
-                    raise ZoneError(f"cannot delete missing record {rr.render()}") from None
+                self._records.remove(rr)
                 self._unindex(rr)
             self._records.extend(additions)
             for rr in additions:
                 self._index(rr)
-            self._serial = (self._serial + 1) % _SERIAL_MOD
-            entry = JournalEntry(self._serial, tuple(deletions), tuple(additions))
-            self._journal.append(entry)
-            if len(self._journal) > self.journal_retention:
-                del self._journal[: len(self._journal) - self.journal_retention]
-            if self.on_mutate is not None:
-                self.on_mutate(entry)
-            return entry
+            batch = self._batch
+            if batch is None:
+                return self._commit(tuple(deletions), tuple(additions))
+            batch.wrote = True
+            # keep the batch's diff net: a record both added and deleted
+            # inside the batch appears in neither list
+            for rr in deletions:
+                if rr in batch.additions:
+                    batch.additions.remove(rr)
+                else:
+                    batch.deletions.append(rr)
+            for rr in additions:
+                if rr in batch.deletions:
+                    batch.deletions.remove(rr)
+                else:
+                    batch.additions.append(rr)
+            return None
+
+    def _commit(self, deletions: tuple[ResourceRecord, ...],
+                additions: tuple[ResourceRecord, ...]) -> JournalEntry:
+        """The next serial and its journal entry for an applied diff."""
+        self._serial = (self._serial + 1) % _SERIAL_MOD
+        entry = JournalEntry(self._serial, deletions, additions)
+        self._journal.append(entry)
+        if len(self._journal) > self.journal_retention:
+            del self._journal[: len(self._journal) - self.journal_retention]
+        if self.on_mutate is not None:
+            self.on_mutate(entry)
+        return entry
+
+    @contextmanager
+    def batch(self):
+        """Make the writes inside the block one change: one serial and one
+        journal entry, the net diff from before the block to after it,
+        made when the block ends, also if it raises.  Writes that cancel
+        out still take a serial, as a write of a value the zone already
+        holds does outside a batch; a block that writes nothing takes
+        none.  The block holds the zone lock, so readers see the zone
+        before it or after it; a batch inside a batch is part of the
+        outer one."""
+        with self._lock:
+            if self._batch is not None:
+                yield
+                return
+            batch = self._batch = _Batch()
+            try:
+                yield
+            finally:
+                self._batch = None
+                if batch.wrote:
+                    self._commit(tuple(batch.deletions), tuple(batch.additions))
 
     def _index(self, rr: ResourceRecord) -> None:
         here = self._owners.get(rr.owner)
@@ -284,7 +348,7 @@ class Zone:
         here = self._owners.get(name)
         return here[0].owner if here else name
 
-    def add_record(self, record: ResourceRecord) -> JournalEntry:
+    def add_record(self, record: ResourceRecord) -> Optional[JournalEntry]:
         """Generic record insertion (fixtures, glue A records, TLSA-style data)."""
         return self._mutate((), (record,))
 
@@ -354,7 +418,7 @@ class Zone:
         return record
 
     def update_txt(self, owner: Name, key: str, value: str, ttl: Optional[int] = None,
-                   record: Optional[ResourceRecord] = None) -> JournalEntry:
+                   record: Optional[ResourceRecord] = None) -> Optional[JournalEntry]:
         """Set ``key=value`` data at an owner, replacing any previous value.
         ``record`` is the ``txt_record`` of these arguments, if built."""
         with self._lock:
@@ -366,7 +430,7 @@ class Zone:
             ]
             return self._mutate(old, (record,))
 
-    def delete_txt(self, owner: Name, key: str) -> JournalEntry:
+    def delete_txt(self, owner: Name, key: str) -> Optional[JournalEntry]:
         with self._lock:
             old = [
                 r for r in self.records_at(owner, TYPE_TXT)
@@ -419,7 +483,7 @@ class Zone:
         child_length: int,
         ns_target: Name,
         symbols: Optional[Sequence[str]] = None,
-    ) -> JournalEntry:
+    ) -> Optional[JournalEntry]:
         """Delegate ``<delegated>.<parent>`` and alias the flat spellings.
 
         Emits one NS record for the delegated subtree plus, for every
@@ -686,6 +750,18 @@ class JournalFile:
             self._fh = open(self.path, "a", encoding="utf-8")
         self._fh.write(journal_entry_to_json(entry) + "\n")
         self._fh.flush()
+
+    def attach(self, zone: Zone) -> int:
+        """Start ``zone`` from this file: adopt its history, replay the
+        entries after the zone's serial, then append every later change
+        here.  Returns how many entries were replayed; raises ZoneError as
+        ``Zone.replay_journal`` does."""
+        entries = self.load()
+        zone.load_journal(entries)
+        # the replayed entries are in the file already: persist only later ones
+        replayed = zone.replay_journal(entries)
+        zone.on_mutate = self.append
+        return replayed
 
     def close(self) -> None:
         """Release the append handle; a later append opens it again."""

@@ -4,7 +4,8 @@ and the record and message dataclasses use slots.
 A function-level import hides a dependency (or an import cycle) from the
 reader of the module header, and an imported name nothing uses is dead
 code.  ``__init__.py`` imports names to re-export them, so only the
-first rule applies to it.  A zone holds a record and its rdata per
+first rule applies to it; it is also the one module that imports by
+name (``importlib.import_module``), to load each export on first use.  A zone holds a record and its rdata per
 resource record, and the codec builds a message and its questions per
 query, so ``records.py`` and ``wire.py`` keep them free of a per-instance
 ``__dict__``.
@@ -45,6 +46,13 @@ def unused_imported_names(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def dynamic_imports(tree: ast.Module) -> list[str]:
+    """Uses of ``importlib.import_module`` or ``__import__``."""
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "import_module"
+            or isinstance(node, ast.Name) and node.id in ("import_module", "__import__")]
+
+
 def dataclasses_without_slots(tree: ast.Module) -> list[str]:
     found = []
     for node in ast.walk(tree):
@@ -75,6 +83,13 @@ def test_no_unused_imports(path):
     assert unused_imported_names(tree) == []
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_only_the_package_imports_by_name(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert dynamic_imports(tree) == []
+
+
 def test_record_dataclasses_declare_slots():
     missing = {}
     for module in SLOTTED:
@@ -90,6 +105,11 @@ def test_checks_catch_what_they_look_for():
     )
     assert function_level_imports(tree) == ["line 4 in f()"]
     assert unused_imported_names(tree) == ["os (line 1)", "Any (line 2)"]
+    tree = ast.parse(
+        "import importlib\nfrom importlib import import_module\n"
+        "importlib.import_module('a')\nimport_module('b')\n__import__('c')\n"
+    )
+    assert dynamic_imports(tree) == ["line 3", "line 4", "line 5"]
     tree = ast.parse(
         "@dataclass\nclass A: pass\n@dataclass(frozen=True)\nclass B: pass\n"
         "@dataclass(slots=False)\nclass C: pass\n@dataclass(frozen=True, slots=True)\n"

@@ -1,11 +1,14 @@
 import errno
+import os
 import random
 import select
 import socket
 import struct
 import sys
+import tempfile
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -38,7 +41,7 @@ from semdns.wire import (
     RCODE_REFUSED, RCODE_SERVFAIL,
 )
 from semdns.zone import (
-    DeviceRegistration, JournalFile, SplitPolicy, Zone, txt_pair, txt_value,
+    DeviceRegistration, JournalEntry, JournalFile, SplitPolicy, Zone, txt_pair, txt_value,
 )
 
 
@@ -363,6 +366,61 @@ class TestUpdate:
         assert [t.rdata.text for t in fixture_zone.records_at(owner, TYPE_TXT)] == [
             "temperature=99"]
 
+    def test_one_update_is_one_serial_and_one_journal_entry(self, fixture_zone):
+        # RFC 2136 §3.7: the zone changes once per UPDATE, whatever it carries
+        owner = parse_name("temperature.dr56._iot._udp")
+        reg = DeviceRegistration("pressure", "dr78", 9000, parse_name("dr78.unipr.it"))
+        updates = [ResourceRecord(owner, 100, txt_pair("a", "1")),
+                   ResourceRecord((REGISTER_LABEL,) + fixture_zone.service, 0,
+                                  txt_pair("register", pack_registration(reg))),
+                   ResourceRecord(owner, 100, txt_pair("b", "2"))]
+        journal, config = fixture_zone.journal(), ServerConfig(port=0)
+        reply = wire.decode(dispatch(wire.encode(update_msg(updates)), fixture_zone, config,
+                                     stream=True, source="127.0.0.1"))
+        assert reply.rcode == RCODE_NOERROR
+        assert fixture_zone.serial == 6
+        entry, = fixture_zone.journal()[len(journal):]
+        assert entry.serial == 6 and entry.deletions == ()
+        assert [r.rtype for r in entry.additions] == [TYPE_TXT, TYPE_SRV, TYPE_PTR, TYPE_TXT]
+        ixfr = wire.decode(dispatch(wire.encode(ixfr_query(5)), fixture_zone, config,
+                                    stream=True, source=None))
+        serials = [r.rdata.serial for r in ixfr.answers if r.rtype == TYPE_SOA]
+        assert serials == [6, 5, 6, 6]  # one step, 5 -> 6
+        assert ixfr.answers[3:-1] == entry.additions
+
+    def test_setting_the_value_held_takes_a_serial_and_an_empty_step(self, fixture_zone):
+        owner = parse_name("temperature.dr56._iot._udp")
+        same = ResourceRecord(owner, 100, txt_pair("temperature", "14"))
+        records = fixture_zone.records()
+        assert same in records
+        reply = handle_update(update_msg([same]), fixture_zone, ServerConfig(port=0))
+        assert reply.rcode == RCODE_NOERROR
+        assert Counter(fixture_zone.records()) == Counter(records)
+        assert fixture_zone.journal()[-1] == JournalEntry(6, (), ())
+
+    def test_txt_set_twice_in_one_update_replays_after_a_restart(self, tmp_path):
+        zone = build_fixture_zone()
+        text = zone.export_master_file()
+        owner = parse_name("temperature.dr56._iot._udp")
+        updates = [ResourceRecord(owner, 100, txt_pair("temperature", "15")),
+                   ResourceRecord(owner, 100, txt_pair("temperature", "16")),
+                   ResourceRecord(owner, 100, txt_pair("a", "1")),
+                   client.txt_delete_record(owner, "a")]
+        journal = JournalFile(tmp_path / "journal.jsonl")
+        journal.attach(zone)
+        try:
+            reply = handle_update(update_msg(updates), zone, ServerConfig(port=0))
+        finally:
+            journal.close()
+        assert reply.rcode == RCODE_NOERROR
+        entry, = journal.load()
+        assert [r.rdata.text for r in entry.deletions] == ["temperature=14"]
+        assert [r.rdata.text for r in entry.additions] == ["temperature=16"]
+        reborn = Zone.from_master_file(text, policy=zone.policy)
+        assert journal.attach(reborn) == 1
+        assert reborn.serial == zone.serial == 6
+        assert sorted(map(str, reborn.records())) == sorted(map(str, zone.records()))
+
     def test_size_guard_refused(self, fixture_zone):
         owner = parse_name("temperature.dr56._iot._udp")
         rr = ResourceRecord(owner, 100, txt_pair("blob", "x" * 2000))
@@ -436,6 +494,56 @@ class TestUpdate:
         assert reply.rcode == RCODE_REFUSED
         assert fixture_zone.serial == 5
         assert "failed UPDATE" not in caplog.text
+
+
+RESTART_OWNERS = [parse_name(n) for n in (
+    "temperature.dr56._iot._udp", "humidity.dr12._iot._udp", "co2.dr78._iot._udp")]
+update_records = st.one_of(
+    st.builds(lambda owner, key, value: ResourceRecord(owner, 100, txt_pair(key, value)),
+              st.sampled_from(RESTART_OWNERS), st.sampled_from("ab"), st.sampled_from("012")),
+    st.builds(client.txt_delete_record, st.sampled_from(RESTART_OWNERS), st.sampled_from("ab")),
+    st.builds(lambda instance, ident: ResourceRecord(
+                  (REGISTER_LABEL, "_iot", "_udp"), 0, txt_pair("register", pack_registration(
+                      DeviceRegistration(instance, ident, 9000, parse_name(f"{ident}.unipr.it"))))),
+              st.sampled_from(["co2", "temperature"]), st.sampled_from(["dr56", "dr78"])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(history=st.lists(st.tuples(st.lists(update_records, min_size=1, max_size=4),
+                                  st.booleans()), max_size=8),
+       retention=st.sampled_from([2, 1024]))
+def test_restarts_anywhere_in_an_update_history_change_nothing(history, retention):
+    """UPDATEs of one to four records, with a restart from the master file
+    and the journal file after any of them: the zone, its serial and the
+    IXFR from every serial match a server that never restarted."""
+    text = build_fixture_zone().export_master_file()
+    policy, config = SplitPolicy("static", 4), ServerConfig(port=0)
+    live = Zone.from_master_file(text, policy=policy, journal_retention=retention)
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = JournalFile(os.path.join(tmp, "journal.jsonl"))
+
+        def restart():
+            journal.close()
+            zone = Zone.from_master_file(text, policy=policy, journal_retention=retention)
+            journal.attach(zone)
+            return zone
+
+        zone = restart()
+        try:
+            for updates, then_restart in history:
+                msg = update_msg(updates)
+                assert handle_update(msg, zone, config) == handle_update(msg, live, config)
+                if then_restart:
+                    zone = restart()
+        finally:
+            journal.close()
+    assert zone.serial == live.serial
+    assert Counter(zone.records()) == Counter(live.records())
+    assert zone.journal() == live.journal()
+    oldest = live.journal()[0].serial - 1 if live.journal() else live.serial
+    for serial in range(oldest - 1, live.serial + 1):  # and one the journal no longer holds
+        assert zone.ixfr_diff(serial) == live.ixfr_diff(serial)
 
 
 @pytest.fixture(scope="module")
@@ -677,6 +785,79 @@ class TestReplyCache:
         # many datagrams were answered from the cache, not all of them
         assert queries / 10 < queries - len(answered) < queries
         assert 0 < len(srv._replies) <= server_module.REPLY_CACHE_SIZE
+
+
+class TestQuestionCase:
+    """DNS 0x20: a reply echoes the question in the letter case of the
+    query, so the client's byte match (``client._answers``) accepts it."""
+
+    NAME = ("TEMPERATURE", "Dr56", "_IOT", "_udp")
+
+    def test_udp(self, serve):
+        srv = serve()
+        reply = client.query("127.0.0.1", srv.port, self.NAME, TYPE_SRV, timeout=2)
+        assert [r.rdata.port for r in reply.answers] == [8080]
+        data = udp_query(self.NAME, TYPE_SRV, msg_id=7)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp:
+            udp.settimeout(5)
+            udp.sendto(data, ("127.0.0.1", srv.port))
+            assert client._answers(data, udp.recv(65535))
+
+    def test_tcp(self, serve):
+        srv = serve()
+        msg = Message(id=9, questions=(Question(self.NAME, TYPE_SRV),))
+        reply = client.exchange(msg, "127.0.0.1", srv.port, tcp=True)
+        assert [r.rdata.port for r in reply.answers] == [8080]
+        data = wire.encode(msg)
+        with tcp_connect(srv.port) as sock:
+            sock.sendall(struct.pack("!H", len(data)) + data)
+            (length,) = struct.unpack("!H", client._recv_exact(sock, 2))
+            assert client._answers(data, client._recv_exact(sock, length))
+
+    def test_reply_cache_hit(self, fixture_zone):
+        cache = {}
+        first = udp_query(self.NAME, TYPE_SRV, msg_id=1)
+        assert client._answers(first, cached(first, fixture_zone, cache))
+        assert len(cache) == 1
+        again = udp_query(self.NAME, TYPE_SRV, msg_id=2)
+        assert client._answers(again, cached(again, fixture_zone, cache))
+        # another spelling is another entry, answered in its own case
+        lower = udp_query(tuple(label.lower() for label in self.NAME), TYPE_SRV, msg_id=3)
+        assert client._answers(lower, cached(lower, fixture_zone, cache))
+        assert len(cache) == 2
+
+    def test_truncated_and_failed_replies_echo_too(self, fixture_zone, monkeypatch):
+        big = ("BIG", "Dr56", "_iot", "_udp")
+        for i in range(20):
+            fixture_zone.add_record(
+                ResourceRecord(parse_name("big.dr56._iot._udp"), 100, make_txt(f"k{i}=" + "x" * 80)))
+        data = udp_query(big, TYPE_TXT)
+        reply = uncached(data, fixture_zone)
+        assert wire.decode(reply).tc and client._answers(data, reply)
+
+        def boom(*args):
+            raise RuntimeError("answer failed")
+        monkeypatch.setattr(server_module, "answer_query", boom)
+        data = udp_query(self.NAME, TYPE_SRV)
+        reply = uncached(data, fixture_zone)
+        assert wire.decode(reply).rcode == RCODE_SERVFAIL and client._answers(data, reply)
+
+    def test_a_compressed_question_section_is_left_alone(self, fixture_zone):
+        data = wire.encode(Message(id=3, questions=(
+            Question(self.NAME, TYPE_SRV), Question(self.NAME, TYPE_TXT))))
+        assert b"\xc0\x0c" in data  # the second name points to the first
+        reply = uncached(data, fixture_zone)
+        assert wire.decode(reply).rcode == RCODE_FORMERR
+        end = wire.question_end(reply)
+        assert reply[12:end] == data[12:end].lower()
+
+
+    def test_a_name_pointing_into_the_header_is_left_alone(self, fixture_zone):
+        # the id's bytes 0x01 'A' and the zero flags spell the name "A."
+        data = bytes.fromhex("0141 0000 0001 0000 0000 0000 c000 0021 0001")
+        assert wire.decode(data).questions == (Question(("a",), TYPE_SRV),)
+        reply = wire.decode(uncached(data, fixture_zone))
+        assert reply.id == 0x0141 and reply.questions == (Question(("a",), TYPE_SRV),)
 
 
 PROPERTY_ZONE = build_fixture_zone()

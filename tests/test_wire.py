@@ -59,6 +59,13 @@ def test_round_trip_identity(msg):
 
 @settings(max_examples=300, deadline=None)
 @given(messages)
+def test_question_end_is_where_the_records_start(msg):
+    questions_only = Message(id=msg.id, questions=msg.questions)
+    assert wire.question_end(encode(msg)) == len(encode(questions_only))
+
+
+@settings(max_examples=300, deadline=None)
+@given(messages)
 def test_encode_matches_reference_bytes(msg):
     assert encode(msg) == wire_reference.encode(msg)
 

@@ -288,6 +288,106 @@ class TestSerialAndJournal:
             zone._mutate((ghost,), ())
         assert zone.serial == 1
 
+    def test_a_missing_deletion_leaves_the_earlier_ones_in_place(self, fixture_zone):
+        host = parse_name("dr56.unipr.it")
+        present, = fixture_zone.records_at(host)
+        ghost = ResourceRecord(host, 100, A("10.0.0.1"))
+        state = zone_state(fixture_zone)
+        with pytest.raises(ZoneError, match="cannot delete missing"):
+            fixture_zone._mutate((present, ghost), ())
+        assert zone_state(fixture_zone) == state
+        assert_indexes_match_scans(fixture_zone)
+
+    def test_deletions_count_duplicates(self):
+        zone = Zone()
+        rr = ResourceRecord(("g",), 60, A("10.0.0.1"))
+        zone.add_record(rr)
+        state = zone_state(zone)
+        with pytest.raises(ZoneError):
+            zone._mutate((rr, rr), ())
+        assert zone_state(zone) == state
+        zone.add_record(rr)
+        zone._mutate((rr, rr), ())
+        assert zone.records() == [] and zone.records_at(("g",)) == []
+
+
+def zone_state(zone):
+    """What a failed write must leave as it was: the records, every read
+    index, the serial and the journal."""
+    return (zone.records(), dict(zone._owners), list(zone._names), list(zone._ptrs),
+            zone.serial, zone.journal())
+
+
+class TestBatch:
+    OWNER = parse_name("temperature.dr56._iot._udp")
+
+    def test_one_serial_and_one_entry(self, fixture_zone):
+        seen = []
+        fixture_zone.on_mutate = seen.append
+        journal = fixture_zone.journal()
+        with fixture_zone.batch():
+            assert fixture_zone.update_txt(self.OWNER, "a", "1") is None
+            assert fixture_zone.update_txt(self.OWNER, "b", "2") is None
+            # applied at once, committed at the end
+            assert len(fixture_zone.records_at(self.OWNER, TYPE_TXT)) == 3
+            assert fixture_zone.serial == 5 and seen == []
+        entry, = seen
+        assert fixture_zone.serial == entry.serial == 6
+        assert fixture_zone.journal() == journal + [entry]
+        assert entry.deletions == ()
+        assert [r.rdata.text for r in entry.additions] == ["a=1", "b=2"]
+
+    def test_the_entry_is_the_net_diff(self, fixture_zone):
+        text = fixture_zone.export_master_file()
+        with fixture_zone.batch():
+            for value in ("15", "16"):
+                fixture_zone.update_txt(self.OWNER, "temperature", value)
+            fixture_zone.update_txt(self.OWNER, "k", "1")
+            fixture_zone.delete_txt(self.OWNER, "k")
+        entry = fixture_zone.journal()[-1]
+        assert [r.rdata.text for r in entry.deletions] == ["temperature=14"]
+        assert [r.rdata.text for r in entry.additions] == ["temperature=16"]
+        reborn = Zone.from_master_file(text, policy=fixture_zone.policy)
+        assert reborn.replay_journal([entry]) == 1
+        assert Counter(reborn.records()) == Counter(fixture_zone.records())
+
+    def test_writes_that_cancel_out_take_an_empty_step(self, fixture_zone):
+        # as setting a value the zone already holds does outside a batch
+        records = fixture_zone.records()
+        rr = ResourceRecord(("g",), 60, A("10.0.0.1"))
+        with fixture_zone.batch():
+            fixture_zone.add_record(rr)
+            fixture_zone._mutate((rr,), ())
+        assert fixture_zone.records() == records
+        assert fixture_zone.journal()[-1] == JournalEntry(6, (), ())
+
+    def test_a_block_without_writes_takes_no_serial(self, fixture_zone):
+        state = zone_state(fixture_zone)
+        with fixture_zone.batch():
+            fixture_zone.records_at(self.OWNER)
+        assert zone_state(fixture_zone) == state
+
+    def test_what_was_applied_is_journaled_when_the_block_raises(self, fixture_zone):
+        seen = []
+        fixture_zone.on_mutate = seen.append
+        with pytest.raises(ZoneError):
+            with fixture_zone.batch():
+                fixture_zone.update_txt(self.OWNER, "a", "1")
+                fixture_zone.delete_txt(self.OWNER, "missing")
+        entry, = seen
+        assert entry.serial == fixture_zone.serial == 6
+        assert [r.rdata.text for r in entry.additions] == ["a=1"]
+        # the zone takes writes of its own again
+        assert fixture_zone.update_txt(self.OWNER, "a", "2").serial == 7
+
+    def test_a_nested_batch_is_part_of_the_outer_one(self, fixture_zone):
+        with fixture_zone.batch():
+            fixture_zone.update_txt(self.OWNER, "a", "1")
+            with fixture_zone.batch():
+                fixture_zone.update_txt(self.OWNER, "b", "2")
+            assert fixture_zone.serial == 5
+        assert fixture_zone.serial == 6 and len(fixture_zone.journal()[-1].additions) == 2
+
 
 class TestIxfr:
     def test_empty_diff_at_current(self, fixture_zone):
@@ -594,6 +694,13 @@ def apply_index_op(zone, op):
             zone._mutate((records[op[1] % len(records)],), ())
 
 
+def apply_or_skip(zone, op):
+    try:
+        apply_index_op(zone, op)
+    except ZoneError:
+        pass  # a missing TXT key or an alias clash: nothing changed
+
+
 def names_in(records):
     """Every owner, every ancestor of one, and every PTR or CNAME target."""
     names = set(PROBES)
@@ -627,10 +734,7 @@ class TestIndexes:
     def test_reads_match_brute_force_scans(self, split, ops, rnd):
         zone = Zone(origin=ORIGIN, policy=SplitPolicy("static", split))
         for op in ops:
-            try:
-                apply_index_op(zone, op)
-            except ZoneError:
-                pass  # a missing TXT key or an alias clash: nothing changed
+            apply_or_skip(zone, op)
             assert_indexes_match_scans(zone)
         assert_indexes_match_scans(Zone.from_master_file(zone.export_master_file()))
         # empty the zone in a random order: every name it had must die with it
@@ -640,6 +744,29 @@ class TestIndexes:
         for rr in records:
             zone._mutate((rr,), ())
             assert_indexes_match_scans(zone, probes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(before=st.lists(index_ops, max_size=6), ops=st.lists(index_ops, max_size=8))
+    def test_any_batch_is_its_net_diff(self, before, ops):
+        zone = Zone(origin=ORIGIN, policy=SplitPolicy("static", 1))
+        for op in before:
+            apply_or_skip(zone, op)
+        old, text, serial = Counter(zone.records()), zone.export_master_file(), zone.serial
+        with zone.batch():
+            for op in ops:
+                apply_or_skip(zone, op)
+        assert_indexes_match_scans(zone)
+        new = Counter(zone.records())
+        if zone.serial == serial:  # no write succeeded
+            assert new == old
+            return
+        entry = zone.journal()[-1]
+        assert zone.serial == entry.serial == serial + 1
+        gone, added = Counter(entry.deletions), Counter(entry.additions)
+        assert gone <= old and added <= new and old - gone + added == new
+        reborn = Zone.from_master_file(text, policy=zone.policy)
+        reborn.replay_journal([entry])
+        assert Counter(reborn.records()) == new
 
     def test_records_the_zone_builds_share_indexed_names(self):
         zone = Zone(policy=SplitPolicy("static", 2))
