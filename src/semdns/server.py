@@ -26,7 +26,7 @@ from .records import (
     is_subdomain, name_text, parse_name,
 )
 from .wire import (
-    Message, OPCODE_QUERY, OPCODE_UPDATE,
+    Message, OPCODE_QUERY, OPCODE_UPDATE, Question,
     RCODE_FORMERR, RCODE_NOERROR, RCODE_NOTIMP, RCODE_NOTZONE, RCODE_NXDOMAIN,
     RCODE_REFUSED, RCODE_SERVFAIL,
 )
@@ -46,7 +46,7 @@ MAX_STREAM_MESSAGE = 0xFFFF
 #: datagram replies a DnsServer keeps for repeated queries; the oldest go first
 REPLY_CACHE_SIZE = 4096
 #: query types whose answer reads more than the records at the query name
-_UNCACHED_QTYPES = frozenset({TYPE_ANY, TYPE_PTR, TYPE_SOA, TYPE_AXFR, TYPE_IXFR})
+_UNCACHED_QTYPES = frozenset({TYPE_ANY, TYPE_PTR, TYPE_SOA})
 
 
 @dataclass
@@ -67,15 +67,9 @@ class ServerConfig:
 
 
 def answer_query(msg: Message, zone: Zone) -> Message:
-    """Authoritative answer for a standard QUERY message."""
-    if msg.opcode != OPCODE_QUERY:
-        return msg.reply(rcode=RCODE_NOTIMP)
-    if len(msg.questions) != 1:
-        return msg.reply(rcode=RCODE_FORMERR)
+    """Authoritative answer for a standard QUERY message that ``dispatch``
+    has admitted: one question, at or below the origin."""
     q = msg.questions[0]
-    if not is_subdomain(q.qname, zone.origin):
-        return msg.reply(rcode=RCODE_REFUSED)
-
     answers: list[ResourceRecord] = []
     target = q.qname
     # one zone read per name: chase CNAMEs inside the zone, exposing the
@@ -133,7 +127,6 @@ def serve_axfr(msg: Message, zone: Zone, stream: bool) -> Message:
 
 def serve_ixfr(msg: Message, zone: Zone, stream: bool) -> Message:
     """Incremental transfer from the serial in the query's authority SOA."""
-    q = msg.questions[0]
     client_soas = [r for r in msg.authority if r.rtype == TYPE_SOA]
     if not client_soas:
         return msg.reply(rcode=RCODE_FORMERR)
@@ -170,19 +163,16 @@ def handle_update(
     config: ServerConfig,
     source: Optional[str] = None,
 ) -> Message:
-    """Apply a dynamic UPDATE restricted to TXT data records.
+    """Apply a dynamic UPDATE, admitted by ``dispatch``, restricted to
+    TXT data records.
 
     Authorization: the source address must be on the allow-list (when one
     is configured) and, when a shared secret is configured, the additional
     section must carry a TXT record ``token=<secret>``.
     """
-    if msg.opcode != OPCODE_UPDATE:
-        return msg.reply(rcode=RCODE_NOTIMP)
     if not _authorized(msg, config, source):
         log.warning("refused UPDATE from %s: not authorized", source)
-        return msg.reply(rcode=RCODE_REFUSED, additional=())
-    if len(msg.questions) != 1 or not is_subdomain(msg.questions[0].qname, zone.origin):
-        return msg.reply(rcode=RCODE_REFUSED, additional=())
+        return msg.reply(rcode=RCODE_REFUSED)
 
     # validate first, building every record the update adds: an update is
     # all-or-nothing.  Names are placed as the zone stands before it.
@@ -193,19 +183,19 @@ def handle_update(
         for rr in msg.authority:
             if not is_subdomain(rr.owner, zone_name):
                 log.warning("refused UPDATE: %s is outside the zone", name_text(rr.owner))
-                return msg.reply(rcode=RCODE_NOTZONE, additional=())
+                return msg.reply(rcode=RCODE_NOTZONE)
             if rr.rtype != TYPE_TXT:
                 log.warning("refused UPDATE: record type %s not updatable", rr.type_name)
-                return msg.reply(rcode=RCODE_REFUSED, additional=())
+                return msg.reply(rcode=RCODE_REFUSED)
             key = txt_key(rr.rdata)
             if not key:  # no key=value form, or an empty key
-                return msg.reply(rcode=RCODE_REFUSED, additional=())
+                return msg.reply(rcode=RCODE_REFUSED)
             if rr.owner == register_owner:
                 try:
                     reg = _parse_registration(txt_value(rr.rdata))
                 except ZoneError as exc:
                     log.warning("malformed UPDATE: %s", exc)
-                    return msg.reply(rcode=RCODE_FORMERR, additional=())
+                    return msg.reply(rcode=RCODE_FORMERR)
                 ops.append((rr, key, reg, zone.device_records(reg)))
             elif rr.rclass in (CLASS_NONE, CLASS_ANY):
                 ops.append((rr, key, None, None))
@@ -215,10 +205,10 @@ def handle_update(
     except (SizeGuardError, RecordError) as exc:
         # a record the wire cannot carry, or one too big for a datagram
         log.warning("refused UPDATE: %s", exc)
-        return msg.reply(rcode=RCODE_REFUSED, additional=())
+        return msg.reply(rcode=RCODE_REFUSED)
     except ZoneError as exc:
         log.warning("failed UPDATE: %s", exc)
-        return msg.reply(rcode=RCODE_SERVFAIL, additional=())
+        return msg.reply(rcode=RCODE_SERVFAIL)
     status: list[ResourceRecord] = []
     # one serial and one journal entry for the whole update (RFC 2136 §3.7)
     with zone.batch():
@@ -308,20 +298,26 @@ def update_token_record(secret: str, owner: Name = ()) -> ResourceRecord:
 def dispatch(data: bytes, zone: Zone, config: ServerConfig,
              stream: bool, source: Optional[str],
              cache: Optional[dict] = None) -> bytes:
-    """Decode, route, answer, encode; applies the datagram cap with TC
-    and the stream-message cap with SERVFAIL.  A failure to answer or to
-    encode the answer is a SERVFAIL carrying the query's id.  The reply
-    echoes the question in the query's own letter case.
+    """Decode, admit, route, answer, encode; applies the datagram cap
+    with TC and the stream-message cap with SERVFAIL.  A failure to
+    answer or to encode the answer is a SERVFAIL carrying the query's
+    id.  The reply echoes the question in the query's own letter case.
 
-    ``cache``, for datagrams only, maps a query's bytes after its id to
-    the records at the query name it was answered from and the reply
-    after its id.  A query found there is answered from it, with no
-    decode, answer or encode, while the zone still holds that very tuple
-    of records at the name (``Zone.owner_records``)."""
+    ``cache``, for datagrams only, maps a query's bytes after its id,
+    question name lower-cased, to the records at the query name it was
+    answered from and the reply after its id, question lower-cased.  A
+    query found there is answered from it, with no decode, answer or
+    encode, while the zone still holds that very tuple of records at the
+    name (``records_at``)."""
+    end = key = None
     if cache is not None:
-        hit = cache.get(data[2:])
-        if hit is not None and zone.owner_records(hit[0][0].owner) is hit[0]:
-            return data[:2] + hit[1]
+        key = data[2:]
+        if not key.islower():  # a byte reads as a capital: fold the name's alone
+            end = _question_end(data)
+            key = None if end is None else data[2:12] + data[12:end - 4].lower() + data[end - 4:]
+        hit = cache.get(key)
+        if hit is not None and zone.records_at(hit[0][0].owner) is hit[0]:
+            return _echo_question(data, end, data[:2] + hit[1])
     try:
         msg = wire.decode(data)
     except wire.WireError:
@@ -329,10 +325,15 @@ def dispatch(data: bytes, zone: Zone, config: ServerConfig,
         return wire.encode(Message(id=msg_id, qr=True, rcode=RCODE_FORMERR))
     here = None  # the records a cacheable reply is built from
     try:
-        if msg.opcode == OPCODE_UPDATE:
-            reply = handle_update(msg, zone, config, source)
-        elif not msg.questions:
+        # admission, here alone: NOTIMP, then FORMERR (RFC 2136 §3.1.1), then REFUSED
+        if msg.opcode not in (OPCODE_QUERY, OPCODE_UPDATE):
+            reply = msg.reply(rcode=RCODE_NOTIMP)
+        elif len(msg.questions) != 1:
             reply = msg.reply(rcode=RCODE_FORMERR)
+        elif not is_subdomain(msg.questions[0].qname, zone.origin):
+            reply = msg.reply(rcode=RCODE_REFUSED)
+        elif msg.opcode == OPCODE_UPDATE:
+            reply = handle_update(msg, zone, config, source)
         elif msg.questions[0].qtype == TYPE_AXFR:
             reply = serve_axfr(msg, zone, stream)
         elif msg.questions[0].qtype == TYPE_IXFR:
@@ -340,7 +341,7 @@ def dispatch(data: bytes, zone: Zone, config: ServerConfig,
         else:
             if cache is not None:
                 # read before answering: a write in between only costs a miss
-                here = _cache_version(msg, zone)
+                here = _cache_version(msg.questions[0], zone)
             reply = answer_query(msg, zone)
         payload = wire.encode(reply)
     except Exception:
@@ -355,38 +356,46 @@ def dispatch(data: bytes, zone: Zone, config: ServerConfig,
         # past the 2-byte length prefix; multi-message transfers are not served
         log.warning("answer of %d bytes exceeds one stream message: SERVFAIL", len(payload))
         payload = wire.encode(reply.reply(rcode=RCODE_SERVFAIL))
-    payload = _echo_question(data, payload)
-    if here and not stream and reply.rcode == RCODE_NOERROR:
-        cache[data[2:]] = (here, payload[2:])
+    end = end or _question_end(data)
+    if here and end and reply.rcode == RCODE_NOERROR:
+        cache[key] = (here, payload[2:])
         if len(cache) > REPLY_CACHE_SIZE:
             del cache[next(iter(cache))]
-    return payload
+    return _echo_question(data, end, payload)
 
 
-def _echo_question(query: bytes, payload: bytes) -> bytes:
-    """``payload`` with the question bytes of ``query``, in the letter
-    case the query spelled them (DNS 0x20): the decoder lower-cases
-    names.  Only a one-question reply whose question equals the query's
-    but for case is changed; a compressed or odd query is left alone."""
-    if query[4:6] != b"\0\1":  # the reply echoes the query's question count
+def _question_end(query: bytes) -> Optional[int]:
+    """The offset just past the question of an untrusted ``query``, if it
+    has one, named in plain labels inside it (``wire.question_end`` trusts
+    its input: it follows a pointer and may run past the end), else None."""
+    if query[4:6] != b"\0\1":
+        return None
+    end, size = 12, len(query)
+    while end < size and 0 < query[end] < 0x40:  # a label
+        end += 1 + query[end]
+    # then the root label, QTYPE and QCLASS
+    return end + 5 if end + 5 <= size and not query[end] else None
+
+
+def _echo_question(query: bytes, end: Optional[int], payload: bytes) -> bytes:
+    """``payload`` with the query's question bytes, which end at ``end``,
+    in the letter case the query spelled them (DNS 0x20): the decoder
+    lower-cases names.  Only a reply whose question equals the query's
+    but for case is changed; a query with no ``end`` is left alone."""
+    if end is None:
         return payload
-    end = wire.question_end(payload)
     asked = query[12:end]
     if asked == payload[12:end] or asked.lower() != payload[12:end].lower():
         return payload
     return payload[:12] + asked + payload[end:]
 
 
-def _cache_version(msg: Message, zone: Zone):
-    """The records at the query name, if the reply to ``msg`` depends on
-    nothing else (one QUERY question, no CNAME, no zone-wide read), else
-    None."""
-    if msg.opcode != OPCODE_QUERY or len(msg.questions) != 1:
-        return None
-    q = msg.questions[0]
+def _cache_version(q: Question, zone: Zone):
+    """The records at the query name, if the reply to ``q`` depends on
+    nothing else (no CNAME, no zone-wide read), else None."""
     if q.qtype in _UNCACHED_QTYPES:
         return None
-    here = zone.owner_records(q.qname)
+    here = zone.records_at(q.qname)
     if not here or any(r.rtype == TYPE_CNAME for r in here):
         return None
     return here

@@ -19,7 +19,7 @@ Records live in one insertion-ordered list (AXFR and export order) and
 three read indexes that the writer path keeps current:
 
 - an owner map, name -> that name's records in list order, which serves
-  ``records_at``, CNAME chasing and the TXT store;
+  ``records_at`` and the TXT store;
 - the owner names, each with its labels reversed, in one sorted list.
   The names at or below a name are one contiguous run of it, so
   ``has_owner`` (empty non-terminals and NXDOMAIN) is one bisect and
@@ -31,7 +31,7 @@ three read indexes that the writer path keeps current:
 Two paths still scan the list: the duplicate check in
 ``register_device`` and the removal of deleted records in ``_mutate``.
 
-``owner_records`` hands out the owner map's tuple itself, not a copy.
+``records_at`` hands out the owner map's tuple itself, not a copy.
 The writer path never changes a tuple in place: every change at an
 owner stores a new one.  So a reader that keeps the tuple it read can
 tell whether the owner has changed since with ``is``; the server's
@@ -195,19 +195,16 @@ class Zone:
         with self._lock:
             return list(self._records)
 
-    def records_at(self, owner: Name, rtype: Optional[int] = None) -> list[ResourceRecord]:
+    def records_at(self, owner: Name, rtype: Optional[int] = None) -> tuple[ResourceRecord, ...]:
+        """The records at ``owner`` (empty if none), those of ``rtype`` if
+        given.  Without ``rtype`` this is the owner map's own tuple: any
+        change at the owner stores a new one, so it stays unchanged and
+        identifies this state of the owner."""
         with self._lock:
             here = self._owners.get(owner, ())
             if rtype is None:
-                return list(here)
-            return [r for r in here if r.rdata.rtype == rtype]
-
-    def owner_records(self, owner: Name) -> tuple[ResourceRecord, ...]:
-        """The owner map's own tuple of the records at ``owner`` (empty if
-        none).  Any change at the owner stores a new tuple, so the one
-        returned stays unchanged and identifies this state of the owner."""
-        with self._lock:
-            return self._owners.get(owner, ())
+                return here
+            return tuple(r for r in here if r.rdata.rtype == rtype)
 
     def subtree(self, apex: Name) -> list[ResourceRecord]:
         """The records at and below ``apex``, grouped by owner name."""
@@ -445,20 +442,13 @@ class Zone:
     def ptr_discover(self, qname: Name) -> set[Name]:
         """Instance names for every device whose identifier extends the
         prefix spelled by ``qname``.  Underscore-prefixed identifier
-        labels are accepted and CNAME aliases are chased first.  The
-        matches are one slice of the sorted PTR index."""
+        labels are accepted; a CNAME at ``qname`` is not followed (the
+        server chases aliases before it browses).  The matches are one
+        slice of the sorted PTR index."""
+        prefix = self._identifier_of(qname)
+        if prefix is None:
+            return set()
         with self._lock:
-            for _ in range(8):
-                alias = next((r for r in self._owners.get(qname, ())
-                              if r.rdata.rtype == TYPE_CNAME), None)
-                if alias is None:
-                    break
-                qname = alias.rdata.target
-            else:
-                raise ZoneError(f"CNAME chain too long at {name_text(qname)}")
-            prefix = self._identifier_of(qname)
-            if prefix is None:
-                return set()
             # identifiers are ASCII, so every extension of prefix sorts below this bound
             ptrs = self._ptrs
             lo = bisect_left(ptrs, (prefix,))
@@ -471,8 +461,7 @@ class Zone:
         suffix = self.service + self.origin
         if len(name) < len(suffix) or name[-len(suffix):] != suffix:
             return None
-        chunks = name[: len(name) - len(suffix)]
-        return "".join(c.lstrip("_") for c in reversed(chunks))
+        return join_labels(name[: len(name) - len(suffix)])
 
     # -- CNAME fan-out -------------------------------------------------------
 
@@ -500,7 +489,7 @@ class Zone:
         with self._lock:
             old_ns = self.records_at(nested_apex, TYPE_NS)
             new_ns = ResourceRecord(nested_apex, self.default_ttl, NS(ns_target))
-            if [new_ns] != old_ns:
+            if (new_ns,) != old_ns:
                 deletions += old_ns
                 additions.append(new_ns)
             for child in symbols:

@@ -1,4 +1,5 @@
 import errno
+import itertools
 import os
 import random
 import select
@@ -50,6 +51,12 @@ def ask(zone, name, qtype):
         Message(id=1, questions=(Question(parse_name(name), qtype),)), zone)
 
 
+def admit(zone, msg, stream=False, cache=None):
+    """``msg`` through ``dispatch``, where every message is admitted."""
+    return wire.decode(dispatch(wire.encode(msg), zone, ServerConfig(port=0),
+                                stream=stream, source=None, cache=cache))
+
+
 class TestAnswerQuery:
     def test_ptr_prefix_transcript(self, fixture_zone):
         reply = ask(fixture_zone, "_dr._iot._udp", TYPE_PTR)
@@ -95,17 +102,17 @@ class TestAnswerQuery:
 
     def test_out_of_zone_refused(self):
         zone = Zone(origin=parse_name("example.org"))
-        assert ask(zone, "other.net", TYPE_A).rcode == RCODE_REFUSED
+        msg = Message(id=1, questions=(Question(parse_name("other.net"), TYPE_A),))
+        assert admit(zone, msg).rcode == RCODE_REFUSED
 
     def test_unknown_opcode_notimp(self, fixture_zone):
         msg = Message(id=1, opcode=2, questions=(Question((), TYPE_A),))
-        assert answer_query(msg, fixture_zone).rcode == RCODE_NOTIMP
+        assert admit(fixture_zone, msg).rcode == RCODE_NOTIMP
 
     def test_wrong_question_count_formerr(self, fixture_zone):
         q = Question((), TYPE_A)
-        assert answer_query(Message(id=1), fixture_zone).rcode == RCODE_FORMERR
-        assert answer_query(
-            Message(id=1, questions=(q, q)), fixture_zone).rcode == RCODE_FORMERR
+        assert admit(fixture_zone, Message(id=1)).rcode == RCODE_FORMERR
+        assert admit(fixture_zone, Message(id=1, questions=(q, q))).rcode == RCODE_FORMERR
 
     def test_cname_chain_exposed(self):
         zone = Zone(policy=SplitPolicy("multi", 1))
@@ -427,10 +434,6 @@ class TestUpdate:
         reply = handle_update(update_msg([rr]), fixture_zone, ServerConfig(port=0))
         assert reply.rcode == RCODE_REFUSED
 
-    def test_query_opcode_rejected(self, fixture_zone):
-        msg = Message(id=1, questions=(Question((), TYPE_SOA),))
-        assert handle_update(msg, fixture_zone, ServerConfig(port=0)).rcode == RCODE_NOTIMP
-
     @pytest.mark.parametrize("reg", [
         DeviceRegistration("pressure", "dr78", 70000, parse_name("dr78.unipr.it")),
         DeviceRegistration("pressure", "dr78", 9000, parse_name("dr78.unipr.it"), ttl=-1),
@@ -576,6 +579,36 @@ class TestDispatch:
                                    stream=True, source=None))
         assert not tcp.tc and len(tcp.answers) >= 80
 
+
+    @pytest.mark.parametrize("stream", [False, True], ids=["udp", "tcp"])
+    def test_admission_table(self, stream):
+        """One precedence for every opcode, question count, name and
+        qtype: NOTIMP, then FORMERR, then REFUSED; transfers included."""
+        zone = Zone(origin=("example",))
+        zone.add_record(ResourceRecord(("h", "example"), 100, A("10.0.0.1")))
+        names = {"inside": ("example",), "outside": ("other", "org"), "root": ()}
+        qtypes = (TYPE_A, TYPE_PTR, TYPE_AXFR, TYPE_IXFR)
+        cache, serial = None if stream else {}, zone.serial
+        for opcode, count, where, qtype in itertools.product(
+                (0, 2, 4, OPCODE_UPDATE), (0, 1, 2), names, qtypes):
+            authority = ()
+            if opcode == 0 and qtype == TYPE_IXFR:  # the serial the client holds
+                authority = (zone.soa_record(),)
+            msg = Message(id=7, opcode=opcode, authority=authority,
+                          questions=(Question(names[where], qtype),) * count)
+            if opcode not in (0, OPCODE_UPDATE):
+                expected = RCODE_NOTIMP
+            elif count != 1:
+                expected = RCODE_FORMERR
+            elif where != "inside":
+                expected = RCODE_REFUSED
+            elif opcode == 0 and qtype == TYPE_AXFR and not stream:
+                expected = RCODE_REFUSED  # a full transfer needs a stream
+            else:
+                expected = RCODE_NOERROR
+            reply = admit(zone, msg, stream, cache)
+            assert (reply.rcode, reply.id) == (expected, 7), (opcode, count, where, qtype)
+        assert zone.serial == serial
 
     def test_cname_loop_answers_ptr_as_other_types(self, caplog):
         zone = Zone()
@@ -821,10 +854,50 @@ class TestQuestionCase:
         assert len(cache) == 1
         again = udp_query(self.NAME, TYPE_SRV, msg_id=2)
         assert client._answers(again, cached(again, fixture_zone, cache))
-        # another spelling is another entry, answered in its own case
+        # another spelling is the same entry, answered in its own case
         lower = udp_query(tuple(label.lower() for label in self.NAME), TYPE_SRV, msg_id=3)
         assert client._answers(lower, cached(lower, fixture_zone, cache))
+        assert len(cache) == 1
+
+    def test_random_case_queries_share_one_entry(self, fixture_zone, monkeypatch):
+        answered = []
+        real_answer = server_module.answer_query
+        monkeypatch.setattr(server_module, "answer_query",
+                            lambda msg, zone: answered.append(msg.id) or real_answer(msg, zone))
+        rng = random.Random(20)
+        name = parse_name("temperature.dr56._iot._udp")
+        cache, hits = {}, 0
+        for msg_id in range(1000):
+            spelled = tuple("".join(rng.choice((c.lower(), c.upper())) for c in label)
+                            for label in name)
+            data = udp_query(spelled, TYPE_SRV, msg_id)
+            expected = uncached(data, fixture_zone)
+            answered.clear()
+            reply = cached(data, fixture_zone, cache)
+            hits += not answered
+            assert reply == expected and client._answers(data, reply)
+        assert hits >= 999 and len(cache) == 1
+
+    def test_qtype_bytes_are_not_case_folded(self, fixture_zone):
+        # qtype 65 is the byte 0x41, "A"; folded it would read 97, "a"
+        cache = {}
+        for qtype in (65, 97):
+            data = udp_query(("temperature", "dr56", "_iot", "_udp"), qtype)
+            assert wire.decode(cached(data, fixture_zone, cache)).questions[0].qtype == qtype
         assert len(cache) == 2
+
+    @pytest.mark.parametrize("data", [
+        bytes.fromhex("0141 0000 0001 0000 0000 0000 c000 0001 0001"),  # a pointer
+        bytes.fromhex("0141 0000 0001 0000 0000 0000 0574 656d"),       # cut short
+        bytes.fromhex("0141 0000 0001"),                                 # no question
+    ], ids=["pointer", "cut-short", "header-only"])
+    def test_a_question_that_cannot_be_walked_is_a_miss(self, fixture_zone, data):
+        # the pointer spells "a." from the header, so its reply would be cacheable
+        fixture_zone.add_record(ResourceRecord(("a",), 100, A("10.0.0.1")))
+        cache = {}
+        for _ in range(2):
+            assert cached(data, fixture_zone, cache) == uncached(data, fixture_zone)
+        assert cache == {}
 
     def test_truncated_and_failed_replies_echo_too(self, fixture_zone, monkeypatch):
         big = ("BIG", "Dr56", "_iot", "_udp")
