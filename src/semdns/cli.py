@@ -237,7 +237,7 @@ def cmd_ixfr(args) -> int:
 def cmd_export_zone(args) -> int:
     if args.zone_file:
         with open(args.zone_file, encoding="utf-8") as fh:
-            zone = Zone.from_master_file(fh.read())
+            zone = Zone.from_master_file(fh)
         text = zone.export_master_file()
     else:
         host, port = _server_addr(args.server)
@@ -269,8 +269,7 @@ def cmd_serve(args) -> int:
     try:
         with open(args.zone_file, encoding="utf-8") as fh:
             zone = Zone.from_master_file(
-                fh.read(), policy=SplitPolicy(args.split_mode, args.split_length)
-            )
+                fh, policy=SplitPolicy(args.split_mode, args.split_length))
     except OSError as exc:
         print(f"error: cannot read zone file: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,6 +11,7 @@ here, listed in ``RDATA_CLASSES``.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
@@ -323,7 +324,14 @@ def export_master_file(origin: Name, records: Iterable[ResourceRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def import_master_file(text: str) -> tuple[Name, list[ResourceRecord]]:
+def import_master_file(source: Union[str, Iterable[str]]) -> tuple[Name, list[ResourceRecord]]:
+    """The $ORIGIN and records of master-file text, or of an open text
+    file read a line at a time.  Both break lines where ``str.splitlines``
+    does, so an error names the same line number either way."""
+    if isinstance(source, str):
+        lines = source.splitlines()
+    else:
+        lines = itertools.chain.from_iterable(map(str.splitlines, source))
     origin: Name = ()
     records = []
     names: dict[str, Name] = {}  # one tuple per spelling, shared by every record
@@ -336,7 +344,7 @@ def import_master_file(text: str) -> tuple[Name, list[ResourceRecord]]:
             parsed = names[spelling] = tuple(map(labels.setdefault, parsed, parsed))
         return parsed
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith(";"):
             continue

@@ -27,8 +27,8 @@ from .records import (
 )
 from .wire import (
     Message, OPCODE_QUERY, OPCODE_UPDATE, Question,
-    RCODE_FORMERR, RCODE_NOERROR, RCODE_NOTIMP, RCODE_NOTZONE, RCODE_NXDOMAIN,
-    RCODE_REFUSED, RCODE_SERVFAIL,
+    RCODE_FORMERR, RCODE_NOERROR, RCODE_NOTAUTH, RCODE_NOTIMP, RCODE_NOTZONE,
+    RCODE_NXDOMAIN, RCODE_REFUSED, RCODE_SERVFAIL,
 )
 from .zone import (
     DeviceRegistration, JournalFile, SizeGuardError, Zone, ZoneError,
@@ -168,20 +168,28 @@ def handle_update(
 
     Authorization: the source address must be on the allow-list (when one
     is configured) and, when a shared secret is configured, the additional
-    section must carry a TXT record ``token=<secret>``.
+    section must carry a TXT record ``token=<secret>``.  The zone section
+    names the zone's SOA (RFC 2136 §3.1.1): another type is FORMERR,
+    another name NOTAUTH.
     """
     if not _authorized(msg, config, source):
         log.warning("refused UPDATE from %s: not authorized", source)
         return msg.reply(rcode=RCODE_REFUSED)
+    zone_entry = msg.questions[0]
+    if zone_entry.qtype != TYPE_SOA:
+        log.warning("malformed UPDATE: zone section type %d is not SOA", zone_entry.qtype)
+        return msg.reply(rcode=RCODE_FORMERR)
+    if zone_entry.qname != zone.origin:
+        log.warning("refused UPDATE: not authoritative for %s", name_text(zone_entry.qname))
+        return msg.reply(rcode=RCODE_NOTAUTH)
 
     # validate first, building every record the update adds: an update is
     # all-or-nothing.  Names are placed as the zone stands before it.
-    zone_name = msg.questions[0].qname
     register_owner = (REGISTER_LABEL,) + zone.service + zone.origin
     ops = []
     try:
         for rr in msg.authority:
-            if not is_subdomain(rr.owner, zone_name):
+            if not is_subdomain(rr.owner, zone.origin):
                 log.warning("refused UPDATE: %s is outside the zone", name_text(rr.owner))
                 return msg.reply(rcode=RCODE_NOTZONE)
             if rr.rtype != TYPE_TXT:
@@ -302,6 +310,9 @@ def dispatch(data: bytes, zone: Zone, config: ServerConfig,
     with TC and the stream-message cap with SERVFAIL.  A failure to
     answer or to encode the answer is a SERVFAIL carrying the query's
     id.  The reply echoes the question in the query's own letter case.
+    A response (QR set) is dropped on purpose, unread: the result is
+    empty and the transport sends nothing, so two servers never answer
+    each other's replies.
 
     ``cache``, for datagrams only, maps a query's bytes after its id,
     question name lower-cased, to the records at the query name it was
@@ -309,6 +320,8 @@ def dispatch(data: bytes, zone: Zone, config: ServerConfig,
     query found there is answered from it, with no decode, answer or
     encode, while the zone still holds that very tuple of records at the
     name (``records_at``)."""
+    if len(data) > 2 and data[2] & 0x80:  # QR set: a response
+        return b""
     end = key = None
     if cache is not None:
         key = data[2:]
@@ -520,6 +533,8 @@ class DnsServer:
                 return
             payload = dispatch(data, self.zone, self.config, stream=False, source=addr[0],
                                cache=self._replies)
+            if not payload:
+                continue
             try:
                 self._udp.sendto(payload, addr)
             except OSError as exc:
@@ -570,8 +585,9 @@ class DnsServer:
                 query = bytes(inbuf[2:end])
                 del inbuf[:end]
                 payload = dispatch(query, self.zone, self.config, stream=True, source=conn.peer)
-                outbuf += struct.pack("!H", len(payload))
-                outbuf += payload
+                if payload:
+                    outbuf += struct.pack("!H", len(payload))
+                    outbuf += payload
             if not outbuf:
                 break
             try:

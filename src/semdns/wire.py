@@ -27,6 +27,7 @@ RCODE_SERVFAIL = 2
 RCODE_NXDOMAIN = 3
 RCODE_NOTIMP = 4
 RCODE_REFUSED = 5
+RCODE_NOTAUTH = 9  # RFC 2136: the server is not authoritative for the zone named
 RCODE_NOTZONE = 10  # RFC 2136: an update record outside the zone
 
 RCODE_NAMES = {
@@ -36,6 +37,7 @@ RCODE_NAMES = {
     RCODE_NXDOMAIN: "NXDOMAIN",
     RCODE_NOTIMP: "NOTIMP",
     RCODE_REFUSED: "REFUSED",
+    RCODE_NOTAUTH: "NOTAUTH",
     RCODE_NOTZONE: "NOTZONE",
 }
 

@@ -16,17 +16,19 @@ a PTR from the identifier subdomain to the instance.  Shorter identifier
 prefixes simply match more devices.
 
 Records live in one insertion-ordered list (AXFR and export order) and
-three read indexes that the writer path keeps current:
+three read indexes that the writer path keeps current.  The two sorted
+indexes hold objects the owner map already holds, not copies:
 
 - an owner map, name -> that name's records in list order, which serves
-  ``records_at`` and the TXT store;
-- the owner names, each with its labels reversed, in one sorted list.
-  The names at or below a name are one contiguous run of it, so
-  ``has_owner`` (empty non-terminals and NXDOMAIN) is one bisect and
-  ``subtree`` (AXFR below the apex) is one slice: O(log N + k);
-- a sorted list of (identifier, instance) for every PTR under
-  ``<service>.<origin>``, which ``ptr_discover`` bisects: a prefix
-  browse costs O(log N + k) for k matches.
+  ``records_at`` and the TXT store.  Its key is the owner tuple of the
+  first record at the name;
+- those owner names in one list, sorted by their labels read from the
+  root down.  The names at or below a name are one contiguous run of
+  it, so ``has_owner`` (empty non-terminals and NXDOMAIN) is one bisect
+  and ``subtree`` (AXFR below the apex) is one slice: O(log N + k);
+- the PTR records under ``<service>.<origin>``, sorted by (identifier,
+  target), which ``ptr_discover`` bisects: a prefix browse costs
+  O(log N + k) for k matches.
 
 Two paths still scan the list: the duplicate check in
 ``register_device`` and the removal of deleted records in ``_mutate``.
@@ -50,7 +52,8 @@ from bisect import bisect_left, insort
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence, Union
 
 from . import wire
 from .bits import ALPHABET
@@ -58,7 +61,7 @@ from .records import (
     CNAME, NS, PTR, SOA, SRV, TXT,
     Name, ResourceRecord,
     TYPE_CNAME, TYPE_NS, TYPE_PTR, TYPE_SOA, TYPE_TXT,
-    export_master_file, import_master_file, make_txt, name_text,
+    export_master_file, import_master_file, is_subdomain, make_txt, name_text,
     parse_record_line,
 )
 
@@ -67,6 +70,8 @@ DEFAULT_TTL = 100  # discovery records
 DEFAULT_JOURNAL_RETENTION = 1024
 SIZE_GUARD_BYTES = wire.MAX_UDP_PAYLOAD
 _SERIAL_MOD = 1 << 32
+#: a name's labels from the root down: the sort key of ``Zone._names``
+_from_root = itemgetter(slice(None, None, -1))
 
 
 class ZoneError(ValueError):
@@ -111,7 +116,7 @@ class DeviceRegistration:
     ttl: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JournalEntry:
     serial: int  # serial after applying this diff
     deletions: tuple[ResourceRecord, ...]
@@ -164,8 +169,8 @@ class Zone:
         # the read indexes (see the module docstring); only the writer
         # path and from_master_file change them
         self._owners: dict[Name, tuple[ResourceRecord, ...]] = {}
-        self._names: list[Name] = []  # owner names, labels reversed, sorted
-        self._ptrs: list[tuple[str, Name]] = []
+        self._names: list[Name] = []  # the owner map's keys, sorted by _from_root
+        self._ptrs: list[ResourceRecord] = []  # sorted by _ptr_key
         self._journal: list[JournalEntry] = []
         self._batch: Optional[_Batch] = None  # the open batch, see batch()
         self._lock = threading.RLock()
@@ -211,10 +216,11 @@ class Zone:
         key = apex[::-1]
         with self._lock:
             names, owners = self._names, self._owners
-            lo = bisect_left(names, key)
+            lo = bisect_left(names, key, key=_from_root)
             # every name at or below apex sorts below apex's next sibling
-            hi = bisect_left(names, key[:-1] + (key[-1] + "\0",), lo) if key else len(names)
-            return [rr for name in names[lo:hi] for rr in owners[name[::-1]]]
+            hi = (bisect_left(names, key[:-1] + (key[-1] + "\0",), lo, key=_from_root)
+                  if key else len(names))
+            return [rr for name in names[lo:hi] for rr in owners[name]]
 
     def has_owner(self, owner: Name) -> bool:
         """``owner`` holds records or has a name below it that does (an
@@ -222,13 +228,13 @@ class Zone:
         owner, not for every name below it."""
         if owner == self.origin:
             return True
-        key = owner[::-1]
         with self._lock:
-            if not key:
-                return key in self._owners
+            if not owner:
+                return owner in self._owners
             names = self._names
-            i = bisect_left(names, key)
-            return i < len(names) and names[i][:len(key)] == key
+            i = bisect_left(names, owner[::-1], key=_from_root)
+            # the first name at or after owner, read from the root, ends in owner
+            return i < len(names) and names[i][-len(owner):] == owner
 
     def journal(self) -> list[JournalEntry]:
         with self._lock:
@@ -310,34 +316,53 @@ class Zone:
                     self._commit(tuple(batch.deletions), tuple(batch.additions))
 
     def _index(self, rr: ResourceRecord) -> None:
-        here = self._owners.get(rr.owner)
+        owners = self._owners
+        here = owners.get(rr.owner)
         if here is None:
-            insort(self._names, rr.owner[::-1])
-            self._owners[rr.owner] = (rr,)
+            insort(self._names, rr.owner, key=_from_root)
+            owners[rr.owner] = (rr,)
         else:
-            self._owners[rr.owner] = here + (rr,)
-        ptr = self._ptr_entry(rr)
-        if ptr is not None:
-            insort(self._ptrs, ptr)
+            owners[rr.owner] = here + (rr,)
+        if self._browsable(rr):
+            insort(self._ptrs, rr, key=self._ptr_key)
 
     def _unindex(self, rr: ResourceRecord) -> None:
-        here = self._owners[rr.owner]
+        """Remove the first record the zone holds equal to ``rr``."""
+        owners, names = self._owners, self._names
+        here = owners[rr.owner]
         i = here.index(rr)
-        if len(here) > 1:
-            self._owners[rr.owner] = here[:i] + here[i + 1:]
+        held, rest = here[i], here[:i] + here[i + 1:]
+        if rest and rest[0].owner is here[0].owner:
+            owners[rr.owner] = rest
         else:
-            del self._owners[rr.owner]
-            del self._names[bisect_left(self._names, rr.owner[::-1])]
-        ptr = self._ptr_entry(rr)
-        if ptr is not None:
-            del self._ptrs[bisect_left(self._ptrs, ptr)]
+            # the name goes, or is keyed anew by the owner of its new first record
+            slot = bisect_left(names, rr.owner[::-1], key=_from_root)
+            del owners[rr.owner]
+            if rest:
+                owners[rest[0].owner] = rest
+                names[slot] = rest[0].owner
+            else:
+                del names[slot]
+        if self._browsable(held):
+            ptrs, key = self._ptrs, self._ptr_key
+            j = bisect_left(ptrs, key(held), key=key)
+            while ptrs[j] is not held:  # past other records with the same key
+                j += 1
+            del ptrs[j]
 
-    def _ptr_entry(self, rr: ResourceRecord) -> Optional[tuple[str, Name]]:
-        """The ``_ptrs`` entry of a PTR under <service>.<origin>, else None."""
-        if rr.rdata.rtype != TYPE_PTR:
-            return None
-        ident = self._identifier_of(rr.owner)
-        return None if ident is None else (ident, rr.rdata.target)
+    def _browsable(self, rr: ResourceRecord) -> bool:
+        """``rr`` is a PTR under <service>.<origin>, so ``_ptrs`` holds it."""
+        return rr.rdata.rtype == TYPE_PTR and is_subdomain(rr.owner, self.service + self.origin)
+
+    def _ptr_key(self, rr: ResourceRecord) -> tuple[str, Name]:
+        """The sort key of a record in ``_ptrs``: the identifier its owner
+        spells (as ``_identifier_of`` reads it) and its target."""
+        owner = rr.owner
+        n = len(owner) - len(self.service) - len(self.origin)
+        ident = "".join(owner[n - 1::-1]) if n else ""
+        if "_" in ident:  # a label may carry the query-side underscore
+            ident = join_labels(owner[:n])
+        return ident, rr.rdata.target
 
     def _known(self, name: Name) -> Name:
         """The tuple the owner map already holds for ``name``, else ``name``:
@@ -450,10 +475,10 @@ class Zone:
             return set()
         with self._lock:
             # identifiers are ASCII, so every extension of prefix sorts below this bound
-            ptrs = self._ptrs
-            lo = bisect_left(ptrs, (prefix,))
-            hi = bisect_left(ptrs, (prefix + "\U0010ffff",), lo)
-            return {target for _, target in ptrs[lo:hi]}
+            ptrs, key = self._ptrs, self._ptr_key
+            lo = bisect_left(ptrs, (prefix,), key=key)
+            hi = bisect_left(ptrs, (prefix + "\U0010ffff",), lo, key=key)
+            return {rr.rdata.target for rr in ptrs[lo:hi]}
 
     def _identifier_of(self, name: Name) -> Optional[str]:
         """Join the identifier chunks of a name under <service>.<origin>,
@@ -538,12 +563,14 @@ class Zone:
             return export_master_file(self.origin, [self.soa_record(), *self._records])
 
     @classmethod
-    def from_master_file(cls, text: str, **kwargs) -> "Zone":
-        origin, records = import_master_file(text)
-        soas = [r for r in records if r.rtype == TYPE_SOA]
+    def from_master_file(cls, source: Union[str, Iterable[str]], **kwargs) -> "Zone":
+        """A zone from master-file text, or from an open text file, which
+        is read a line at a time (see ``records.import_master_file``)."""
+        origin, records = import_master_file(source)
+        soas = [i for i, r in enumerate(records) if r.rdata.rtype == TYPE_SOA]
         if len(soas) != 1:
             raise ZoneError(f"master file must hold exactly one SOA, found {len(soas)}")
-        soa = soas[0].rdata
+        soa = records.pop(soas[0]).rdata
         zone = cls(
             origin=origin,
             mname=soa.mname,
@@ -555,7 +582,7 @@ class Zone:
             minimum=soa.minimum,
             **kwargs,
         )
-        zone._records = [r for r in records if r.rtype != TYPE_SOA]
+        zone._records = records
         zone._build_indexes()
         return zone
 
@@ -565,8 +592,8 @@ class Zone:
         for rr in self._records:
             grouped.setdefault(rr.owner, []).append(rr)
         self._owners = {owner: tuple(here) for owner, here in grouped.items()}
-        self._names = sorted(owner[::-1] for owner in grouped)
-        self._ptrs = sorted(filter(None, map(self._ptr_entry, self._records)))
+        self._names = sorted(grouped, key=_from_root)
+        self._ptrs = sorted(filter(self._browsable, self._records), key=self._ptr_key)
 
     # -- journal persistence -------------------------------------------------
 

@@ -81,7 +81,7 @@ class TestEncodeIdentifiers:
 
     def test_custom_registry_file(self, capsys, tmp_path):
         path = tmp_path / "registry.txt"
-        path.write_text("context 6 logical 5 5\n")
+        path.write_text("context 6 logical 5 5\n", encoding="utf-8")
         code, out, _ = run(capsys, "encode-logical", "1", "2", "0",
                            "--context", "6", "--registry", str(path))
         assert code == 1  # three fields given, context has two
@@ -225,7 +225,7 @@ class TestNetworkCommands:
 
     def test_export_zone_from_file(self, capsys, tmp_path, fixture_zone):
         path = tmp_path / "zone.txt"
-        path.write_text(fixture_zone.export_master_file())
+        path.write_text(fixture_zone.export_master_file(), encoding="utf-8")
         code, out, _ = run(capsys, "export-zone", "--zone-file", str(path))
         assert code == 0 and out == fixture_zone.export_master_file()
 
@@ -242,9 +242,9 @@ class TestServe:
     def test_journal_with_a_gap_is_refused(self, capsys, tmp_path, fixture_zone, monkeypatch):
         monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: None)
         zone_file, journal = tmp_path / "zone.txt", tmp_path / "journal.jsonl"
-        zone_file.write_text(fixture_zone.export_master_file())  # serial 5
+        zone_file.write_text(fixture_zone.export_master_file(), encoding="utf-8")  # serial 5
         entry = JournalEntry(7, (), (ResourceRecord(("x",), 60, A("10.0.0.1")),))
-        journal.write_text(journal_entry_to_json(entry) + "\n")
+        journal.write_text(journal_entry_to_json(entry) + "\n", encoding="utf-8")
         code, _, err = run(capsys, "serve", "--zone-file", str(zone_file),
                            "--journal", str(journal), "--port", "0")
         assert code == 1 and "error: journal entry 7" in err

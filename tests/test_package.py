@@ -38,7 +38,7 @@ def loaded_after(statement: str) -> set:
     code = (f"{statement}\nimport sys\n"
             f"print(' '.join(m for m in {UNUSED_BY_THE_CLI!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
-                         capture_output=True, text=True, check=True, timeout=60)
+                         capture_output=True, encoding="utf-8", check=True, timeout=60)
     return set(out.stdout.splitlines()[-1].split())
 
 

@@ -38,7 +38,7 @@ from semdns.server import (
 )
 from semdns.wire import (
     Message, OPCODE_UPDATE, Question,
-    RCODE_FORMERR, RCODE_NOERROR, RCODE_NOTIMP, RCODE_NOTZONE, RCODE_NXDOMAIN,
+    RCODE_FORMERR, RCODE_NOERROR, RCODE_NOTAUTH, RCODE_NOTIMP, RCODE_NOTZONE, RCODE_NXDOMAIN,
     RCODE_REFUSED, RCODE_SERVFAIL,
 )
 from semdns.zone import (
@@ -287,6 +287,31 @@ class TestUpdate:
         reply = handle_update(update_msg([rr]), fixture_zone, ServerConfig(port=0))
         assert reply.rcode == RCODE_REFUSED
         assert fixture_zone.serial == before
+
+    def test_zone_section_names_the_zones_soa(self):
+        # RFC 2136 §3.1.1: ZTYPE SOA, else FORMERR; ZNAME the zone, else NOTAUTH
+        zone = Zone(origin=("example",))
+        host = ("h", "example")
+        zone.add_record(ResourceRecord(host, 100, A("10.0.0.1")))
+        data = ResourceRecord(host, 100, txt_pair("k", "v"))
+        serial = zone.serial
+        for zname, ztype, rcode in ((host, TYPE_A, RCODE_FORMERR),
+                                    (zone.origin, TYPE_A, RCODE_FORMERR),
+                                    (host, TYPE_SOA, RCODE_NOTAUTH)):
+            msg = Message(id=1, opcode=OPCODE_UPDATE, questions=(Question(zname, ztype),),
+                          authority=(data,))
+            assert handle_update(msg, zone, ServerConfig(port=0)).rcode == rcode
+            assert zone.serial == serial and zone.records_at(host, TYPE_TXT) == ()
+        msg = Message(id=1, opcode=OPCODE_UPDATE, questions=(Question(zone.origin, TYPE_SOA),),
+                      authority=(data,))
+        assert handle_update(msg, zone, ServerConfig(port=0)).rcode == RCODE_NOERROR
+        assert zone.serial == serial + 1 and zone.records_at(host, TYPE_TXT) == (data,)
+
+    def test_zone_section_checked_after_authorization(self):
+        zone = Zone(origin=("example",))
+        msg = Message(id=1, opcode=OPCODE_UPDATE, questions=(Question(("h", "example"), TYPE_A),))
+        config = ServerConfig(port=0, update_secret="hunter2")
+        assert handle_update(msg, zone, config).rcode == RCODE_REFUSED
 
     def test_secret_required(self, fixture_zone):
         config = ServerConfig(port=0, update_secret="hunter2")
@@ -566,6 +591,19 @@ class TestDispatch:
             stream=False, source=None))
         assert reply.rcode == RCODE_FORMERR and reply.id == 0x1234
 
+    @pytest.mark.parametrize("stream", [False, True], ids=["udp", "tcp"])
+    def test_a_response_is_dropped_unread(self, fixture_zone, monkeypatch, stream):
+        data = wire.encode(Message(id=7, qr=True, questions=(
+            Question(parse_name("temperature.dr56._iot._udp"), TYPE_SRV),)))
+
+        def boom(*args):
+            raise AssertionError("a response must not be decoded")
+        monkeypatch.setattr(wire, "decode", boom)
+        cache = None if stream else {}
+        assert dispatch(data, fixture_zone, ServerConfig(port=0),
+                        stream=stream, source=None, cache=cache) == b""
+        assert not cache
+
     def test_datagram_cap_sets_tc(self, fixture_zone):
         for i in range(80):
             fixture_zone.register_device(DeviceRegistration(
@@ -583,11 +621,14 @@ class TestDispatch:
     @pytest.mark.parametrize("stream", [False, True], ids=["udp", "tcp"])
     def test_admission_table(self, stream):
         """One precedence for every opcode, question count, name and
-        qtype: NOTIMP, then FORMERR, then REFUSED; transfers included."""
+        qtype: NOTIMP, then FORMERR, then REFUSED; transfers included.
+        An UPDATE's zone section then names the zone's SOA: FORMERR for
+        another type, NOTAUTH for another name (RFC 2136 §3.1.1)."""
         zone = Zone(origin=("example",))
         zone.add_record(ResourceRecord(("h", "example"), 100, A("10.0.0.1")))
-        names = {"inside": ("example",), "outside": ("other", "org"), "root": ()}
-        qtypes = (TYPE_A, TYPE_PTR, TYPE_AXFR, TYPE_IXFR)
+        names = {"inside": ("example",), "below": ("h", "example"),
+                 "outside": ("other", "org"), "root": ()}
+        qtypes = (TYPE_A, TYPE_PTR, TYPE_AXFR, TYPE_IXFR, TYPE_SOA)
         cache, serial = None if stream else {}, zone.serial
         for opcode, count, where, qtype in itertools.product(
                 (0, 2, 4, OPCODE_UPDATE), (0, 1, 2), names, qtypes):
@@ -600,8 +641,12 @@ class TestDispatch:
                 expected = RCODE_NOTIMP
             elif count != 1:
                 expected = RCODE_FORMERR
-            elif where != "inside":
+            elif where not in ("inside", "below"):
                 expected = RCODE_REFUSED
+            elif opcode == OPCODE_UPDATE and qtype != TYPE_SOA:
+                expected = RCODE_FORMERR
+            elif opcode == OPCODE_UPDATE and where != "inside":
+                expected = RCODE_NOTAUTH
             elif opcode == 0 and qtype == TYPE_AXFR and not stream:
                 expected = RCODE_REFUSED  # a full transfer needs a stream
             else:
@@ -950,8 +995,13 @@ def damaged_queries(draw):
 @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(st.binary(min_size=2, max_size=200), damaged_queries()), st.booleans())
 def test_dispatch_always_replies_with_the_query_id(data, stream):
-    reply = wire.decode(dispatch(data, PROPERTY_ZONE, ServerConfig(port=0),
-                                 stream=stream, source=None))
+    """Any bytes get a reply with their id, but a response (QR set): that
+    one is dropped, and its result is empty."""
+    payload = dispatch(data, PROPERTY_ZONE, ServerConfig(port=0), stream=stream, source=None)
+    if len(data) > 2 and data[2] & 0x80:
+        assert payload == b""
+        return
+    reply = wire.decode(payload)
     assert reply.id == int.from_bytes(data[:2], "big")
 
 
@@ -1129,6 +1179,25 @@ class TestTransport:
         assert (first.id, second.id) == (1, 2)
         assert first.answers[0].rdata.address == "160.78.28.203"
         assert second.answers[0].rdata.text == "temperature=14"
+
+    def test_a_response_gets_no_datagram(self, serve):
+        srv = serve()
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp:
+            udp.settimeout(5)
+            udp.sendto(wire.encode(Message(id=1, qr=True, questions=(A_QUERY,))),
+                       ("127.0.0.1", srv.port))
+            udp.sendto(wire.encode(Message(id=2, questions=(A_QUERY,))), ("127.0.0.1", srv.port))
+            # datagrams are answered in order: a reply to the first would come first
+            assert wire.decode(udp.recv(2048)).id == 2
+
+    def test_a_response_gets_nothing_and_the_stream_stays_open(self, serve):
+        srv = serve()
+        with tcp_connect(srv.port) as sock:
+            sock.sendall(frame(Message(id=1, qr=True, questions=(A_QUERY,)))
+                         + frame(Message(id=2, questions=(A_QUERY,))))
+            assert read_message(sock).id == 2
+            sock.sendall(frame(Message(id=3, questions=(A_QUERY,))))
+            assert read_message(sock).id == 3
 
     def test_half_closed_peer_still_answered(self, serve):
         srv = serve()

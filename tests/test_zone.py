@@ -11,7 +11,7 @@ from conftest import build_fixture_zone
 from semdns.bits import ALPHABET
 from semdns.geo import GeoPoint, encode_geohash
 from semdns.records import (
-    A, CNAME, NS, PTR, ResourceRecord, SRV, TXT,
+    A, CNAME, NS, PTR, RecordError, ResourceRecord, SRV, TXT,
     TYPE_CNAME, TYPE_NS, TYPE_PTR, TYPE_SRV, TYPE_TXT,
     parse_name,
 )
@@ -703,6 +703,20 @@ def assert_indexes_match_scans(zone, probes=frozenset()):
         assert zone.has_owner(name) == scan_has_owner(zone, records, name), name
         assert Counter(zone.subtree(name)) == Counter(scan_subtree(records, name)), name
         assert zone.ptr_discover(name) == scan_ptr_discover(zone, records, name), name
+    assert_indexes_hold_the_zones_objects(zone)
+
+
+def assert_indexes_hold_the_zones_objects(zone):
+    """The sorted indexes reference what the owner map holds, not copies:
+    each name is the owner map's key and the owner of the first record at
+    it, and each PTR entry is a record the owner map holds."""
+    owners = zone._owners
+    assert sorted(map(id, zone._names)) == sorted(map(id, owners))
+    for name in zone._names:
+        assert owners[name][0].owner is name, name
+    held = {id(rr) for here in owners.values() for rr in here}
+    for rr in zone._ptrs:
+        assert rr.rtype == TYPE_PTR and id(rr) in held, rr
 
 
 class TestIndexes:
@@ -745,6 +759,31 @@ class TestIndexes:
         reborn.replay_journal([entry])
         assert Counter(reborn.records()) == new
 
+    def test_a_name_outlives_the_tuple_of_its_first_record(self):
+        # equal owner tuples that are distinct objects, as from the wire
+        zone = Zone(origin=ORIGIN)
+        first, second = (ResourceRecord(("h",) + APEX, 100, PTR(("t", f"{i}") + APEX))
+                         for i in range(2))
+        assert first.owner is not second.owner
+        zone.add_record(first)
+        zone.add_record(second)
+        zone._mutate((first,), ())
+        assert zone._names == [second.owner] and zone._names[0] is second.owner
+        assert zone.ptr_discover(("h",) + APEX) == {second.rdata.target}
+        assert_indexes_match_scans(zone, {first.owner})
+
+    def test_a_ptr_leaves_the_index_as_the_object_it_is(self):
+        # "a" and "_a" spell one identifier: two PTRs with one sort key
+        zone = Zone(origin=ORIGIN)
+        target = ("t",) + APEX
+        plain, marked = (ResourceRecord((label,) + APEX, 100, PTR(target))
+                         for label in ("a", "_a"))
+        zone.add_record(plain)
+        zone.add_record(marked)
+        zone._mutate((marked,), ())
+        assert zone._ptrs == [plain] and zone._ptrs[0] is plain
+        assert_indexes_match_scans(zone, {marked.owner})
+
     def test_records_the_zone_builds_share_indexed_names(self):
         zone = Zone(policy=SplitPolicy("static", 2))
         zone.add_record(ResourceRecord(parse_name("h.example"), 100, A("10.0.0.1")))
@@ -781,8 +820,10 @@ def generated_master_file(devices: int, seed: int = 7) -> str:
 class TestMemory:
     #: bytes per record of an imported zone, its indexes included.  The
     #: flat list without indexes took 519-690 on Python 3.10-3.13 in this
-    #: test; the indexed zone takes 466-479.
-    BYTES_PER_RECORD = 500
+    #: test; indexes of their own reversed names and (identifier, target)
+    #: tuples took 422-435; indexes that hold the owner map's own names
+    #: and PTR records take 321-330.
+    BYTES_PER_RECORD = 400
 
     def test_import_bytes_per_record(self):
         text = generated_master_file(2000)
@@ -797,3 +838,56 @@ class TestMemory:
             tracemalloc.stop()
         assert len(zone.records()) == 6020
         assert used / len(zone.records()) < self.BYTES_PER_RECORD
+
+
+class TestStreamedImport:
+    """A master file read from an open file a line at a time loads as its
+    text does, and names the same line in an error."""
+
+    #: the line breaks of ``str.splitlines`` that a text file does not split at
+    SEPARATORS = ("\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+
+    @staticmethod
+    def stream(tmp_path, text):
+        path = tmp_path / "zone.db"
+        path.write_text(text, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return Zone.from_master_file(fh)
+
+    def load_both(self, tmp_path, text):
+        return Zone.from_master_file(text), self.stream(tmp_path, text)
+
+    @staticmethod
+    def assert_same_zone(zone, streamed):
+        assert streamed.records() == zone.records()
+        assert streamed.soa_record() == zone.soa_record()
+        assert streamed._owners == zone._owners
+        assert streamed._names == zone._names and streamed._ptrs == zone._ptrs
+        assert_indexes_hold_the_zones_objects(streamed)
+
+    def test_a_generated_zone(self, tmp_path):
+        zone, streamed = self.load_both(tmp_path, generated_master_file(2000))
+        assert len(streamed.records()) == 6020
+        self.assert_same_zone(zone, streamed)
+
+    def separated(self):
+        """A small zone whose lines end in every separator, some in two."""
+        lines = generated_master_file(6).splitlines()
+        ends = self.SEPARATORS + ("\n", "\r\n", "\r", "\x0b\n", "\x85\x85")
+        return "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+
+    def test_every_line_separator(self, tmp_path):
+        text = self.separated()
+        zone, streamed = self.load_both(tmp_path, text)
+        assert len(zone.records()) == 38
+        self.assert_same_zone(zone, streamed)
+
+    def test_a_bad_line_has_one_number(self, tmp_path):
+        text = self.separated() + "bad.example. 100 IN A 10.0.0.300\n"
+        lineno = len(text.splitlines())
+        with pytest.raises(RecordError) as from_text:
+            Zone.from_master_file(text)
+        with pytest.raises(RecordError) as from_file:
+            self.stream(tmp_path, text)
+        assert str(from_file.value) == str(from_text.value)
+        assert f"master file line {lineno}:" in str(from_text.value)
