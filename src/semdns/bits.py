@@ -70,15 +70,10 @@ class BitString:
         return BitString(self.bits + other.bits)
 
     def __getitem__(self, index) -> "BitString":
-        if isinstance(index, int):
-            return BitString(self.bits[index])
         return BitString(self.bits[index])
 
     def __iter__(self):
         return (int(b) for b in self.bits)
-
-    def startswith(self, prefix: "BitString") -> bool:
-        return self.bits.startswith(prefix.bits)
 
     def __str__(self) -> str:
         return self.bits

@@ -24,7 +24,7 @@ from .records import (
 )
 from .server import DnsServer, ServerConfig
 from .wire import RCODE_NAMES, RCODE_NOERROR, RCODE_NXDOMAIN, RCODE_REFUSED
-from .zone import DeviceRegistration, SplitPolicy, Zone
+from .zone import DEFAULT_SERVICE, DeviceRegistration, SplitPolicy, Zone
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,9 +180,7 @@ def cmd_register(args) -> int:
         ttl=args.ttl,
     )
     reply = client.register_device(
-        host, port, parse_name(args.zone), parse_name(args.service)[:2] or ("_iot", "_udp"),
-        reg, secret=args.secret,
-    )
+        host, port, parse_name(args.zone), DEFAULT_SERVICE, reg, secret=args.secret)
     if reply.rcode != RCODE_NOERROR:
         print(f"update refused: {RCODE_NAMES.get(reply.rcode, reply.rcode)}", file=sys.stderr)
         return EXIT_NAME
@@ -342,7 +340,6 @@ def build_parser() -> _Parser:
     p.add_argument("--txt", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--ttl", type=int)
     p.add_argument("--zone", default=".")
-    p.add_argument("--service", default="_iot._udp")
     p.add_argument("--secret")
 
     p = add_net("update-txt", cmd_update_txt, "set or delete key=value TXT data")
@@ -376,7 +373,7 @@ def build_parser() -> _Parser:
     p.add_argument("--port", type=int, default=DEFAULT_PORT)
     p.add_argument("--secret", help="shared secret for dynamic updates; also $SEMDNS_UPDATE_SECRET")
     p.add_argument("--allow", action="append", help="allowed update source address (repeatable)")
-    p.add_argument("--split-mode", default="static", choices=["static", "dynamic", "multi"])
+    p.add_argument("--split-mode", default="static", choices=["static", "dynamic"])
     p.add_argument("--split-length", type=int, default=2)
 
     return parser

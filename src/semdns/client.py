@@ -122,10 +122,10 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 def _answers(query: bytes, reply: bytes) -> bool:
     """Whether ``reply`` carries the id, QDCOUNT and, byte for byte, the
-    question section of ``query`` (a message this client encoded).  The
-    letter case of the names must match too: the server echoes it."""
+    question of ``query``, a message this client encoded: one name in plain
+    labels.  The letter case of the name must match too: the server echoes it."""
     end = wire.question_end(query)
-    return (reply[:2] == query[:2] and reply[4:6] == query[4:6]
+    return (end is not None and reply[:2] == query[:2] and reply[4:6] == query[4:6]
             and reply[12:end] == query[12:end])
 
 

@@ -201,7 +201,7 @@ class SemanticTree:
 
     def add(self, parent_path: Sequence[str], index: int, label: str) -> None:
         """Attach a child named ``label`` at ``index`` under ``parent_path``."""
-        node = self._walk_labels(parent_path)
+        node = self._walk(parent_path)[-1]
         depth = len(parent_path)
         if depth >= len(self.level_widths):
             raise ContextError(f"tree has only {len(self.level_widths)} levels")
@@ -218,29 +218,21 @@ class SemanticTree:
         node.children[index] = child
         node.by_label[label] = child
 
-    def _walk_labels(self, path: Sequence[str]) -> "_TreeNode":
-        node = self._root
+    def _walk(self, path: Sequence[Union[str, int]]) -> list["_TreeNode"]:
+        """The nodes along ``path`` (child labels or raw indices), the root
+        first; ContextError at a step the tree does not hold."""
+        nodes = [self._root]
         for step in path:
-            try:
-                node = node.by_label[step]
-            except KeyError:
-                raise ContextError(f"unknown tree label {step!r}") from None
-        return node
+            node = nodes[-1]
+            child = node.children.get(step) if isinstance(step, int) else node.by_label.get(step)
+            if child is None:
+                raise ContextError(f"unknown tree step {step!r}")
+            nodes.append(child)
+        return nodes
 
     def path_indices(self, path: Sequence[Union[str, int]]) -> list[int]:
         """Resolve a path of labels (or raw indices) to child indices."""
-        node = self._root
-        indices = []
-        for step in path:
-            if isinstance(step, int):
-                child = node.children.get(step)
-            else:
-                child = node.by_label.get(step)
-            if child is None:
-                raise ContextError(f"unknown tree step {step!r}")
-            indices.append(child.index)
-            node = child
-        return indices
+        return [node.index for node in self._walk(path)[1:]]
 
     def path_code(self, path: Sequence[Union[str, int]]) -> BitString:
         """Binary code of a (possibly partial) root-to-leaf traversal."""
@@ -250,17 +242,13 @@ class SemanticTree:
         return code
 
     def leaf_codes_under(self, prefix_indices: Sequence[int]) -> set[BitString]:
-        """Codes of every leaf whose path extends ``prefix_indices``."""
-        node = self._root
-        code = BitString()
-        for depth, index in enumerate(prefix_indices):
-            child = node.children.get(index)
-            if child is None:
-                return set()
-            code += BitString.from_int(index, self.level_widths[depth])
-            node = child
+        """Codes of every leaf whose path extends ``prefix_indices``; none for an unknown one."""
+        try:
+            node = self._walk(prefix_indices)[-1]
+        except ContextError:
+            return set()
         out: set[BitString] = set()
-        self._collect(node, len(prefix_indices), code, out)
+        self._collect(node, len(prefix_indices), self.path_code(prefix_indices), out)
         return out
 
     def _collect(self, node: "_TreeNode", depth: int, code: BitString, out: set[BitString]):
@@ -358,7 +346,6 @@ def load_registry(text: str) -> ContextRegistry:
     Node lines must follow the context line they refer to.
     """
     registry = ContextRegistry()
-    trees: dict[int, SemanticTree] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -370,20 +357,16 @@ def load_registry(text: str) -> ContextRegistry:
                 kind = parts[2]
                 widths = tuple(int(w) for w in parts[3:])
                 descriptor = ContextDescriptor(cid, kind, widths)
-                tree = None
-                if kind == "tree":
-                    tree = SemanticTree(widths)
-                    trees[cid] = tree
-                registry.register(descriptor, tree)
+                registry.register(descriptor, SemanticTree(widths) if kind == "tree" else None)
             elif parts[0] == "node":
                 cid = int(parts[1])
                 path = [p for p in parts[2].split("/") if p]
                 index = int(parts[3])
                 label = parts[4]
-                trees[cid].add(path, index, label)
+                registry.tree(cid).add(path, index, label)
             else:
                 raise ContextError(f"unknown directive {parts[0]!r}")
-        except (IndexError, KeyError) as exc:
+        except IndexError as exc:
             raise ContextError(f"registry line {lineno}: malformed entry {raw!r}") from exc
         except ContextError as exc:
             raise ContextError(f"registry line {lineno}: {exc}") from None

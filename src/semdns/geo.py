@@ -136,23 +136,31 @@ def deinterleave(bits: BitString) -> tuple[BitString, BitString]:
     return BitString(bits.bits[1::2]), BitString(bits.bits[0::2])
 
 
-def encode_geohash(p: GeoPoint, length_chars: int) -> str:
-    """Geohash label of exactly ``length_chars`` symbols for a point."""
-    if not 1 <= length_chars <= MAX_GEOHASH_LENGTH:
-        raise GeoError(f"geohash length must be 1..{MAX_GEOHASH_LENGTH}, got {length_chars}")
-    lat_n, lng_n = bit_split(length_chars)
-    lat_bits = coord_to_bits(p.latitude, LAT_RANGE, lat_n)
-    lng_bits = coord_to_bits(p.longitude, LNG_RANGE, lng_n)
-    return b32_encode(interleave(lat_bits, lng_bits))
+def _morton(p: GeoPoint, lat_n: int, lng_n: int) -> BitString:
+    """Morton merge of ``lat_n`` latitude and ``lng_n`` longitude bits of ``p``."""
+    return interleave(coord_to_bits(p.latitude, LAT_RANGE, lat_n),
+                      coord_to_bits(p.longitude, LNG_RANGE, lng_n))
 
 
-def decode_geohash(label: str) -> GeoCell:
-    """Cell denoted by a geohash label; its center is the decoded position."""
-    lat_bits, lng_bits = deinterleave(b32_decode(label))
+def _cell(bits: BitString) -> GeoCell:
+    """The cell that interleaved coordinate bits denote."""
+    lat_bits, lng_bits = deinterleave(bits)
     return GeoCell(
         bits_to_interval(lat_bits, LAT_RANGE),
         bits_to_interval(lng_bits, LNG_RANGE),
     )
+
+
+def encode_geohash(p: GeoPoint, length_chars: int) -> str:
+    """Geohash label of exactly ``length_chars`` symbols for a point."""
+    if not 1 <= length_chars <= MAX_GEOHASH_LENGTH:
+        raise GeoError(f"geohash length must be 1..{MAX_GEOHASH_LENGTH}, got {length_chars}")
+    return b32_encode(_morton(p, *bit_split(length_chars)))
+
+
+def decode_geohash(label: str) -> GeoCell:
+    """Cell denoted by a geohash label; its center is the decoded position."""
+    return _cell(b32_decode(label))
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +189,11 @@ class GeoIdentifier64:
         return self.bits.to_int().to_bytes(8, "big")
 
     def cell(self) -> GeoCell:
-        lat_bits, lng_bits = deinterleave(self.coordinate_bits)
-        return GeoCell(
-            bits_to_interval(lat_bits, LAT_RANGE),
-            bits_to_interval(lng_bits, LNG_RANGE),
-        )
+        return _cell(self.coordinate_bits)
 
 
 def make_geo_identifier(p: GeoPoint, context_id: int = GEO_CONTEXT_ID) -> GeoIdentifier64:
-    lat_bits = coord_to_bits(p.latitude, LAT_RANGE, GEO_COORD_BITS // 2)
-    lng_bits = coord_to_bits(p.longitude, LNG_RANGE, GEO_COORD_BITS // 2 + 1)
-    return GeoIdentifier64(context_id, interleave(lat_bits, lng_bits))
+    return GeoIdentifier64(context_id, _morton(p, GEO_COORD_BITS // 2, GEO_COORD_BITS // 2 + 1))
 
 
 def geo_identifier_to_label(g: GeoIdentifier64) -> str:

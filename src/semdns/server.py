@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import wire
 from .records import (
-    CLASS_NONE, CLASS_ANY, Name, PTR, RecordError, ResourceRecord,
+    CLASS_IN, CLASS_NONE, CLASS_ANY, Name, PTR, RecordError, ResourceRecord,
     TYPE_ANY, TYPE_AXFR, TYPE_CNAME, TYPE_IXFR, TYPE_PTR, TYPE_SOA, TYPE_TXT,
     is_subdomain, name_text, parse_name,
 )
@@ -170,7 +170,9 @@ def handle_update(
     is configured) and, when a shared secret is configured, the additional
     section must carry a TXT record ``token=<secret>``.  The zone section
     names the zone's SOA (RFC 2136 §3.1.1): another type is FORMERR,
-    another name NOTAUTH.
+    another name NOTAUTH.  Prerequisites (RFC 2136 §2.4) are not
+    supported: an UPDATE that carries any is NOTIMP.  An update record
+    of a class other than IN, NONE or ANY is FORMERR (§3.4.1.2).
     """
     if not _authorized(msg, config, source):
         log.warning("refused UPDATE from %s: not authorized", source)
@@ -182,6 +184,9 @@ def handle_update(
     if zone_entry.qname != zone.origin:
         log.warning("refused UPDATE: not authoritative for %s", name_text(zone_entry.qname))
         return msg.reply(rcode=RCODE_NOTAUTH)
+    if msg.answers:
+        log.warning("refused UPDATE: prerequisites are not supported")
+        return msg.reply(rcode=RCODE_NOTIMP)
 
     # validate first, building every record the update adds: an update is
     # all-or-nothing.  Names are placed as the zone stands before it.
@@ -192,6 +197,9 @@ def handle_update(
             if not is_subdomain(rr.owner, zone.origin):
                 log.warning("refused UPDATE: %s is outside the zone", name_text(rr.owner))
                 return msg.reply(rcode=RCODE_NOTZONE)
+            if rr.rclass not in (CLASS_IN, CLASS_NONE, CLASS_ANY):
+                log.warning("malformed UPDATE: record class %d", rr.rclass)
+                return msg.reply(rcode=RCODE_FORMERR)
             if rr.rtype != TYPE_TXT:
                 log.warning("refused UPDATE: record type %s not updatable", rr.type_name)
                 return msg.reply(rcode=RCODE_REFUSED)
@@ -230,13 +238,14 @@ def handle_update(
             elif added is not None:
                 zone.update_txt(rr.owner, key, txt_value(rr.rdata), ttl=rr.ttl, record=added)
             # deleting data that is not there is a no-op (RFC 2136 §3.4.2.3)
-            elif any(txt_key(r.rdata) == key for r in zone.records_at(rr.owner, TYPE_TXT)):
+            elif zone.txt_records(rr.owner, key):
                 zone.delete_txt(rr.owner, key)
     return msg.reply(additional=tuple(status))
 
 
 def pack_registration(reg: DeviceRegistration) -> str:
-    """Registration fields packed into one TXT value for the UPDATE wire."""
+    """Registration fields packed into one TXT value for the UPDATE wire.
+    ValueError if a field holds the ';' that separates them."""
     parts = [
         f"instance={reg.instance}",
         f"id={reg.identifier}",
@@ -249,11 +258,15 @@ def pack_registration(reg: DeviceRegistration) -> str:
         parts.append(f"ttl={reg.ttl}")
     for k, v in reg.txt:
         parts.append(f"txt.{k}={v}")
+    for part in parts:
+        if ";" in part:
+            raise ValueError(f"registration field {part!r} contains ';'")
     return ";".join(parts)
 
 
 def _parse_registration(value: str) -> DeviceRegistration:
-    """The registration packed in one TXT value; ZoneError if malformed."""
+    """The registration packed in one TXT value; ZoneError if malformed,
+    which includes a field other than ``txt.*`` given twice."""
     fields: dict[str, str] = {}
     txt: list[tuple[str, str]] = []
     for part in value.split(";"):
@@ -262,6 +275,8 @@ def _parse_registration(value: str) -> DeviceRegistration:
         k, v = part.split("=", 1)
         if k.startswith("txt."):
             txt.append((k[4:], v))
+        elif k in fields:
+            raise ZoneError(f"repeated registration field {k!r}")
         else:
             fields[k] = v
     try:
@@ -326,7 +341,7 @@ def dispatch(data: bytes, zone: Zone, config: ServerConfig,
     if cache is not None:
         key = data[2:]
         if not key.islower():  # a byte reads as a capital: fold the name's alone
-            end = _question_end(data)
+            end = wire.question_end(data)
             key = None if end is None else data[2:12] + data[12:end - 4].lower() + data[end - 4:]
         hit = cache.get(key)
         if hit is not None and zone.records_at(hit[0][0].owner) is hit[0]:
@@ -369,25 +384,12 @@ def dispatch(data: bytes, zone: Zone, config: ServerConfig,
         # past the 2-byte length prefix; multi-message transfers are not served
         log.warning("answer of %d bytes exceeds one stream message: SERVFAIL", len(payload))
         payload = wire.encode(reply.reply(rcode=RCODE_SERVFAIL))
-    end = end or _question_end(data)
+    end = end or wire.question_end(data)
     if here and end and reply.rcode == RCODE_NOERROR:
         cache[key] = (here, payload[2:])
         if len(cache) > REPLY_CACHE_SIZE:
             del cache[next(iter(cache))]
     return _echo_question(data, end, payload)
-
-
-def _question_end(query: bytes) -> Optional[int]:
-    """The offset just past the question of an untrusted ``query``, if it
-    has one, named in plain labels inside it (``wire.question_end`` trusts
-    its input: it follows a pointer and may run past the end), else None."""
-    if query[4:6] != b"\0\1":
-        return None
-    end, size = 12, len(query)
-    while end < size and 0 < query[end] < 0x40:  # a label
-        end += 1 + query[end]
-    # then the root label, QTYPE and QCLASS
-    return end + 5 if end + 5 <= size and not query[end] else None
 
 
 def _echo_question(query: bytes, end: Optional[int], payload: bytes) -> bytes:

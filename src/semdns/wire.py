@@ -153,16 +153,17 @@ def encode(msg: Message) -> bytes:
     return bytes(buf)
 
 
-def question_end(data: bytes) -> int:
-    """The offset just past the question section of a message this
-    codec encoded: its labels are well formed and a compression pointer
-    ends a name."""
-    end = _HEADER.size
-    for _ in range(_U16.unpack_from(data, 4)[0]):
-        while 0 < data[end] < 0xC0:  # a label
-            end += 1 + data[end]
-        end += (2 if data[end] else 1) + _QUESTION.size  # a pointer or the root
-    return end
+def question_end(data: bytes) -> int | None:
+    """The offset just past the question section of ``data`` if that is one
+    question, named in plain labels that end inside it, else None.  Safe on
+    untrusted bytes: it follows no pointer and reads nothing past the end."""
+    if data[4:6] != b"\0\1":
+        return None
+    end, size = _HEADER.size, len(data)
+    while end < size and 0 < data[end] < 0x40:  # a label
+        end += 1 + data[end]
+    # then the root label, QTYPE and QCLASS
+    return end + 5 if end + 5 <= size and not data[end] else None
 
 
 # ---------------------------------------------------------------------------

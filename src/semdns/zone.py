@@ -7,8 +7,8 @@ the change journal, so incremental transfers can replay any retained
 serial.  Writes made inside ``Zone.batch()`` (one dynamic UPDATE) share
 one serial and one journal entry (RFC 2136 §3.7); the writer methods
 return the entry they made, or None inside a batch.  Serials follow RFC
-1982 arithmetic: they wrap from 2**32-1 to 0.  Reads copy under the
-same lock; there are no torn snapshots.
+1982 arithmetic: they wrap from 2**32-1 to 0.  Reads take the same
+lock, so none sees a write half done.
 
 Device discovery follows DNS-SD: registration stores an SRV (and
 optional TXT data) at ``<instance>.<identifier labels>.<service>`` plus
@@ -68,7 +68,6 @@ from .records import (
 DEFAULT_SERVICE: Name = ("_iot", "_udp")
 DEFAULT_TTL = 100  # discovery records
 DEFAULT_JOURNAL_RETENTION = 1024
-SIZE_GUARD_BYTES = wire.MAX_UDP_PAYLOAD
 _SERIAL_MOD = 1 << 32
 #: a name's labels from the root down: the sort key of ``Zone._names``
 _from_root = itemgetter(slice(None, None, -1))
@@ -428,6 +427,10 @@ class Zone:
 
     # -- TXT data store ------------------------------------------------------
 
+    def txt_records(self, owner: Name, key: str) -> list[ResourceRecord]:
+        """The TXT records at ``owner`` that hold data for ``key``."""
+        return [r for r in self.records_at(owner, TYPE_TXT) if txt_key(r.rdata) == key]
+
     def txt_record(self, owner: Name, key: str, value: str,
                    ttl: Optional[int] = None) -> ResourceRecord:
         """The record that sets ``key=value`` at an owner, checked to fit
@@ -446,18 +449,11 @@ class Zone:
         with self._lock:
             if record is None:
                 record = self.txt_record(owner, key, value, ttl)
-            old = [
-                r for r in self.records_at(owner, TYPE_TXT)
-                if txt_key(r.rdata) == key
-            ]
-            return self._mutate(old, (record,))
+            return self._mutate(self.txt_records(owner, key), (record,))
 
     def delete_txt(self, owner: Name, key: str) -> Optional[JournalEntry]:
         with self._lock:
-            old = [
-                r for r in self.records_at(owner, TYPE_TXT)
-                if txt_key(r.rdata) == key
-            ]
+            old = self.txt_records(owner, key)
             if not old:
                 raise ZoneError(f"no TXT data {key!r} at {name_text(owner)}")
             return self._mutate(old, ())
@@ -671,9 +667,9 @@ def _check_size_guard(record: ResourceRecord) -> None:
         size = len(wire.encode(probe))
     except wire.WireError as exc:
         raise SizeGuardError(f"record cannot be encoded: {exc}") from None
-    if size > SIZE_GUARD_BYTES:
+    if size > wire.MAX_UDP_PAYLOAD:
         raise SizeGuardError(
-            f"record response would be {size} bytes, over the {SIZE_GUARD_BYTES}-byte cap"
+            f"record response would be {size} bytes, over the {wire.MAX_UDP_PAYLOAD}-byte cap"
         )
 
 
@@ -714,12 +710,11 @@ def split_labels(identifier: str, policy: SplitPolicy, zone: Optional[Zone] = No
 
 
 def _declared_length(zone: Zone, owner: Name) -> Optional[int]:
-    for r in zone.records_at(owner, TYPE_TXT):
-        if txt_key(r.rdata) == "len":
-            try:
-                return int(txt_value(r.rdata))
-            except (TypeError, ValueError):
-                raise ZoneError(f"malformed len= TXT at {name_text(owner)}") from None
+    for r in zone.txt_records(owner, "len"):
+        try:
+            return int(txt_value(r.rdata))
+        except ValueError:
+            raise ZoneError(f"malformed len= TXT at {name_text(owner)}") from None
     return None
 
 

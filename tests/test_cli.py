@@ -183,6 +183,22 @@ class TestNetworkCommands:
                          "pressure", "--delete", "--server", f"{host}:{port}")
         assert code == 0
 
+    def test_register_prints_each_status(self, capsys, running_server):
+        host, port, zone = running_server
+        code, out, _ = run(capsys, "register", "pressure", "dr78", "--port", "9000",
+                           "--target", "dr78.unipr.it", "--server", f"{host}:{port}")
+        assert code == 0 and out == "pressure.dr78._iot._udp. (registered)\n"
+        assert zone.records_at(("pressure", "dr78", "_iot", "_udp"))
+
+    def test_register_refuses_a_separator_in_a_field(self, capsys, running_server):
+        host, port, zone = running_server
+        serial = zone.serial
+        code, _, err = run(capsys, "register", "pressure", "dr78", "--port", "9000",
+                           "--target", "dr78.unipr.it", "--txt", "k=x;txt.evil=1",
+                           "--server", f"{host}:{port}")
+        assert code == 1 and "';'" in err
+        assert zone.serial == serial
+
     def test_update_refused_without_secret(self, capsys):
         from conftest import build_fixture_zone
         from semdns.server import DnsServer, ServerConfig
@@ -236,6 +252,16 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("register", "pressure", "dr78", "--port", "9000", "--target", "dr78.unipr.it",
+         "--service", "_foo._tcp"),
+        ("serve", "--zone-file", "zone.txt", "--split-mode", "multi"),
+    ], ids=["register-service", "serve-split-mode-multi"])
+    def test_removed_options_are_usage_errors(self, capsys, argv):
+        # the server registers under _iot._udp alone; SplitPolicy multi splits as static does
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and argv[-2] in err
 
 
 class TestServe:

@@ -149,6 +149,10 @@ class TestTree:
         tree = demo_quadtree()
         assert tree.leaf_codes_under([0b11, 0b01]) == {BitString("1101")}
 
+    def test_covered_set_of_a_path_the_tree_lacks_is_empty(self, registry):
+        assert demo_quadtree().leaf_codes_under([0b11, 0b01, 0b00]) == set()
+        assert registry.tree(1).leaf_codes_under([12, 0]) == set()
+
     def test_covered_set_root_is_all_leaves(self):
         tree = demo_quadtree()
         assert len(tree.leaf_codes_under([])) == 16
@@ -211,6 +215,15 @@ class TestRegistryFile:
     def test_rejects_duplicate_node_index(self):
         text = "context 1 tree 5\nnode 1 / 3 x\nnode 1 / 3 y\n"
         with pytest.raises(ContextError):
+            load_registry(text)
+
+    @pytest.mark.parametrize("text", [
+        "node 1 / 3 x\n",
+        "context 1 tree 5\nnode 2 / 3 x\n",
+        "context 2 logical 5 5 10\nnode 2 / 3 x\n",
+    ], ids=["before-its-context", "unknown-context", "context-without-a-tree"])
+    def test_rejects_a_node_with_no_tree_naming_the_line(self, text):
+        with pytest.raises(ContextError, match=f"registry line {text.count(chr(10))}:"):
             load_registry(text)
 
     def test_comments_and_blanks_ignored(self):

@@ -363,7 +363,9 @@ class TestUpdate:
         "instance=x;id=dr78;target=dr78.unipr.it",
         "instance=x;id=dr78;port=eighty;target=dr78.unipr.it",
         "instance=;id=dr78;port=80;target=dr78.unipr.it",
-    ], ids=["no-fields", "bad-target", "no-port", "non-numeric-port", "empty-instance"])
+        "instance=x;id=dr78;port=80;target=dr78.unipr.it;port=9",
+    ], ids=["no-fields", "bad-target", "no-port", "non-numeric-port", "empty-instance",
+            "repeated-field"])
     def test_malformed_registration_formerr(self, fixture_zone, value):
         owner = (REGISTER_LABEL,) + fixture_zone.service
         txt = ResourceRecord(parse_name("temperature.dr56._iot._udp"), 100,
@@ -375,6 +377,43 @@ class TestUpdate:
         assert reply.rcode == RCODE_FORMERR
         # found while validating, before anything is applied
         assert fixture_zone.serial == before
+
+    @pytest.mark.parametrize("reg", [
+        DeviceRegistration("x", "dr78", 80, parse_name("dr78.unipr.it"),
+                           txt=(("k", "x;txt.evil=1"),)),
+        DeviceRegistration("x", "dr78", 80, parse_name("dr78.unipr.it"), txt=(("k", "x;port=9"),)),
+        DeviceRegistration("x;port=9", "dr78", 80, parse_name("dr78.unipr.it")),
+        DeviceRegistration("x", "dr78", 80, parse_name("dr78.unipr.it"), txt=(("k;a", "1"),)),
+    ], ids=["txt-field", "port-field", "instance", "txt-key"])
+    def test_a_separator_in_a_registration_field_is_refused_before_sending(self, reg):
+        with pytest.raises(ValueError, match="';'"):
+            pack_registration(reg)
+
+    @pytest.mark.parametrize("rclass", [2, 3, 4, 253])
+    def test_an_update_record_of_another_class_is_formerr(self, fixture_zone, rclass):
+        # RFC 2136 §3.4.1.2: an update record's class is the zone's, NONE or ANY
+        owner = parse_name("temperature.dr56._iot._udp")
+        updates = [ResourceRecord(owner, 100, txt_pair("a", "1")),
+                   ResourceRecord(owner, 100, txt_pair("b", "2"), rclass=rclass)]
+        serial, before = fixture_zone.serial, fixture_zone.records_at(owner)
+        reply = wire.decode(dispatch(wire.encode(update_msg(updates)), fixture_zone,
+                                     ServerConfig(port=0), stream=True, source="127.0.0.1"))
+        assert reply.rcode == RCODE_FORMERR
+        assert fixture_zone.serial == serial and fixture_zone.records_at(owner) is before
+
+    def test_an_update_with_prerequisites_is_notimp(self, fixture_zone):
+        # RFC 2136 §3.2: prerequisites are not evaluated, so none is applied
+        owner = parse_name("temperature.dr56._iot._udp")
+        # "this value exists" (§2.4.2), which fails: the owner holds temperature=14
+        prerequisite = ResourceRecord(owner, 0, txt_pair("temperature", "99"))
+        msg = Message(id=1, opcode=OPCODE_UPDATE, questions=(Question((), TYPE_SOA),),
+                      answers=(prerequisite,),
+                      authority=(ResourceRecord(owner, 100, txt_pair("temperature", "15")),))
+        serial, before = fixture_zone.serial, fixture_zone.records_at(owner)
+        reply = wire.decode(dispatch(wire.encode(msg), fixture_zone, ServerConfig(port=0),
+                                     stream=True, source="127.0.0.1"))
+        assert reply.rcode == RCODE_NOTIMP
+        assert fixture_zone.serial == serial and fixture_zone.records_at(owner) is before
 
     def test_deleting_an_absent_key_is_a_no_op(self, fixture_zone):
         # RFC 2136 §3.4.2.3: deleting data that is not there is ignored
@@ -966,8 +1005,7 @@ class TestQuestionCase:
         assert b"\xc0\x0c" in data  # the second name points to the first
         reply = uncached(data, fixture_zone)
         assert wire.decode(reply).rcode == RCODE_FORMERR
-        end = wire.question_end(reply)
-        assert reply[12:end] == data[12:end].lower()
+        assert reply[12:] == data[12:].lower()
 
 
     def test_a_name_pointing_into_the_header_is_left_alone(self, fixture_zone):

@@ -60,8 +60,25 @@ def test_round_trip_identity(msg):
 @settings(max_examples=300, deadline=None)
 @given(messages)
 def test_question_end_is_where_the_records_start(msg):
+    # one question alone has an end; none or two have none
     questions_only = Message(id=msg.id, questions=msg.questions)
-    assert wire.question_end(encode(msg)) == len(encode(questions_only))
+    expected = len(encode(questions_only)) if len(msg.questions) == 1 else None
+    assert wire.question_end(encode(msg)) == expected
+
+
+ONE_QUESTION = bytes.fromhex("0001 0000 0001 0000 0000 0000")
+
+
+@pytest.mark.parametrize("data", [
+    ONE_QUESTION + b"\x01a\xc0\x0c\x00\x01\x00\x01",  # a pointer in the name
+    ONE_QUESTION + b"\x05ab",  # a label that runs past the end
+    ONE_QUESTION + b"\x01a",  # no root label
+    ONE_QUESTION + b"\x01a\x00\x00\x01\x00",  # QCLASS cut short
+    ONE_QUESTION[:5],  # a short header
+    ONE_QUESTION[:11],
+], ids=["pointer", "label-past-end", "no-root", "short-qclass", "header-5", "header-11"])
+def test_question_end_is_none_for_a_question_it_cannot_walk(data):
+    assert wire.question_end(data) is None
 
 
 @settings(max_examples=300, deadline=None)
