@@ -353,15 +353,15 @@ def load_registry(text: str) -> ContextRegistry:
         parts = line.split()
         try:
             if parts[0] == "context":
-                cid = int(parts[1])
+                cid = _integer(parts[1], "context id")
                 kind = parts[2]
-                widths = tuple(int(w) for w in parts[3:])
+                widths = tuple(_integer(w, "field width") for w in parts[3:])
                 descriptor = ContextDescriptor(cid, kind, widths)
                 registry.register(descriptor, SemanticTree(widths) if kind == "tree" else None)
             elif parts[0] == "node":
-                cid = int(parts[1])
+                cid = _integer(parts[1], "context id")
                 path = [p for p in parts[2].split("/") if p]
-                index = int(parts[3])
+                index = _integer(parts[3], "node index")
                 label = parts[4]
                 registry.tree(cid).add(path, index, label)
             else:
@@ -371,6 +371,13 @@ def load_registry(text: str) -> ContextRegistry:
         except ContextError as exc:
             raise ContextError(f"registry line {lineno}: {exc}") from None
     return registry
+
+
+def _integer(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ContextError(f"{what} {token!r} is not an integer") from None
 
 
 def default_registry() -> ContextRegistry:

@@ -245,7 +245,8 @@ def handle_update(
 
 def pack_registration(reg: DeviceRegistration) -> str:
     """Registration fields packed into one TXT value for the UPDATE wire.
-    ValueError if a field holds the ';' that separates them."""
+    ValueError if a field holds the ';' that separates them, or a TXT key
+    is one ``txt_pair`` refuses: empty, or holding the '=' that ends it."""
     parts = [
         f"instance={reg.instance}",
         f"id={reg.identifier}",
@@ -257,6 +258,7 @@ def pack_registration(reg: DeviceRegistration) -> str:
     if reg.ttl is not None:
         parts.append(f"ttl={reg.ttl}")
     for k, v in reg.txt:
+        txt_pair(k, v)
         parts.append(f"txt.{k}={v}")
     for part in parts:
         if ";" in part:

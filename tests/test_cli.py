@@ -89,6 +89,12 @@ class TestEncodeIdentifiers:
                            "--registry", str(path))
         assert code == 1  # logical context has no tree
 
+    def test_registry_file_with_a_bad_number_names_the_line(self, capsys, tmp_path):
+        path = tmp_path / "registry.txt"
+        path.write_text("# widths\ncontext 6 tree 5 five\n", encoding="utf-8")
+        code, _, err = run(capsys, "encode-tree", "--context", "6", "--registry", str(path))
+        assert code == 1 and "registry line 2:" in err
+
 
 class TestDeriveName:
     def test_text_key(self, capsys):
@@ -197,6 +203,15 @@ class TestNetworkCommands:
                            "--target", "dr78.unipr.it", "--txt", "k=x;txt.evil=1",
                            "--server", f"{host}:{port}")
         assert code == 1 and "';'" in err
+        assert zone.serial == serial
+
+    def test_register_refuses_a_txt_key_without_a_name(self, capsys, running_server):
+        host, port, zone = running_server
+        serial = zone.serial
+        code, _, err = run(capsys, "register", "pressure", "dr78", "--port", "9000",
+                           "--target", "dr78.unipr.it", "--txt", "=1013",
+                           "--server", f"{host}:{port}")
+        assert code == 1 and "TXT key" in err
         assert zone.serial == serial
 
     def test_update_refused_without_secret(self, capsys):

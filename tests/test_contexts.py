@@ -226,6 +226,17 @@ class TestRegistryFile:
         with pytest.raises(ContextError, match=f"registry line {text.count(chr(10))}:"):
             load_registry(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("context x tree 5\n", "context id 'x'"),
+        ("context 4 tree 5 y\n", "field width 'y'"),
+        ("context 1 tree 5\nnode 1 / z x\n", "node index 'z'"),
+        ("context 1 tree 5\nnode one / 3 x\n", "context id 'one'"),
+    ], ids=["context-id", "width", "node-index", "node-context-id"])
+    def test_rejects_a_non_integer_naming_the_line(self, text, message):
+        line = text.count("\n")
+        with pytest.raises(ContextError, match=f"registry line {line}: {message} is not an integer"):
+            load_registry(text)
+
     def test_comments_and_blanks_ignored(self):
         registry = load_registry("# nothing\n\ncontext 4 logical 5 5 10\n")
         assert registry.lookup(4).kind == "logical"

@@ -389,6 +389,13 @@ class TestUpdate:
         with pytest.raises(ValueError, match="';'"):
             pack_registration(reg)
 
+    @pytest.mark.parametrize("key", ["a=b", ""])
+    def test_a_txt_key_the_zone_refuses_is_refused_before_sending(self, key):
+        # "txt.a=b=c" would reach the server as key "a" with value "b=c"
+        reg = DeviceRegistration("x", "dr78", 80, parse_name("dr78.unipr.it"), txt=((key, "c"),))
+        with pytest.raises(ValueError, match="TXT key"):
+            pack_registration(reg)
+
     @pytest.mark.parametrize("rclass", [2, 3, 4, 253])
     def test_an_update_record_of_another_class_is_formerr(self, fixture_zone, rclass):
         # RFC 2136 §3.4.1.2: an update record's class is the zone's, NONE or ANY

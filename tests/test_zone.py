@@ -719,13 +719,36 @@ def assert_indexes_hold_the_zones_objects(zone):
         assert rr.rtype == TYPE_PTR and id(rr) in held, rr
 
 
+class Tally:
+    """The records a zone must hold by its journal entries: the records it
+    held at the start, minus each entry's deletions, plus its additions.
+    The scans above read ``records()``, which comes from the owner map;
+    this reads the diffs the writer path was given, so it checks the store
+    itself."""
+
+    def __init__(self, zone):
+        self.expected = Counter(zone.records())
+        zone.on_mutate = self.apply
+
+    def apply(self, entry):
+        gone = Counter(entry.deletions)
+        assert gone <= self.expected, entry
+        self.expected -= gone
+        self.expected += Counter(entry.additions)
+
+    def check(self, zone):
+        assert Counter(zone.records()) == self.expected
+
+
 class TestIndexes:
     @settings(max_examples=200, deadline=None)
     @given(split=st.integers(1, 2), ops=st.lists(index_ops, max_size=12), rnd=st.randoms())
     def test_reads_match_brute_force_scans(self, split, ops, rnd):
         zone = Zone(origin=ORIGIN, policy=SplitPolicy("static", split))
+        tally = Tally(zone)
         for op in ops:
             apply_or_skip(zone, op)
+            tally.check(zone)
             assert_indexes_match_scans(zone)
         assert_indexes_match_scans(Zone.from_master_file(zone.export_master_file()))
         # empty the zone in a random order: every name it had must die with it
@@ -734,18 +757,23 @@ class TestIndexes:
         rnd.shuffle(records)
         for rr in records:
             zone._mutate((rr,), ())
+            tally.check(zone)
             assert_indexes_match_scans(zone, probes)
+        assert not tally.expected
 
     @settings(max_examples=150, deadline=None)
     @given(before=st.lists(index_ops, max_size=6), ops=st.lists(index_ops, max_size=8))
     def test_any_batch_is_its_net_diff(self, before, ops):
         zone = Zone(origin=ORIGIN, policy=SplitPolicy("static", 1))
+        tally = Tally(zone)
         for op in before:
             apply_or_skip(zone, op)
+            tally.check(zone)
         old, text, serial = Counter(zone.records()), zone.export_master_file(), zone.serial
         with zone.batch():
             for op in ops:
                 apply_or_skip(zone, op)
+        tally.check(zone)
         assert_indexes_match_scans(zone)
         new = Counter(zone.records())
         if zone.serial == serial:  # no write succeeded
@@ -822,7 +850,8 @@ class TestMemory:
     #: flat list without indexes took 519-690 on Python 3.10-3.13 in this
     #: test; indexes of their own reversed names and (identifier, target)
     #: tuples took 422-435; indexes that hold the owner map's own names
-    #: and PTR records take 321-330.
+    #: and PTR records took 321-330 beside the list, and 312-322 with the
+    #: owner map as the only store.
     BYTES_PER_RECORD = 400
 
     def test_import_bytes_per_record(self):
@@ -838,6 +867,53 @@ class TestMemory:
             tracemalloc.stop()
         assert len(zone.records()) == 6020
         assert used / len(zone.records()) < self.BYTES_PER_RECORD
+
+
+@pytest.fixture
+def eq_calls(monkeypatch):
+    """How many times ``ResourceRecord.__eq__`` has run: a scan of the
+    zone shows as one call per record it passes."""
+    calls = [0]
+    compare = ResourceRecord.__eq__
+
+    def counted(self, other):
+        calls[0] += 1
+        return compare(self, other)
+
+    monkeypatch.setattr(ResourceRecord, "__eq__", counted)
+    return calls
+
+
+class TestWriteCost:
+    """A TXT write and its replay touch the records at one owner, not
+    every record of the zone."""
+
+    MAX_CALLS = 10
+
+    def test_txt_writes_compare_only_at_their_owner(self, eq_calls):
+        zone = Zone.from_master_file(generated_master_file(2000))
+        owner = [r for r in zone.records() if r.rtype == TYPE_TXT][-1].owner
+        for write in (lambda: zone.update_txt(owner, "reading", "1"),
+                      lambda: zone.update_txt(owner, "reading", "2"),
+                      lambda: zone.delete_txt(owner, "reading")):
+            eq_calls[0] = 0
+            write()
+            assert eq_calls[0] <= self.MAX_CALLS
+        assert not zone.records_at(owner, TYPE_TXT)
+
+    def test_replay_compares_only_at_each_entrys_owner(self, eq_calls):
+        text = generated_master_file(2000)
+        live = Zone.from_master_file(text)
+        rng = random.Random(7)
+        owners = [r.owner for r in live.records() if r.rtype == TYPE_TXT]
+        for i in range(500):
+            live.update_txt(rng.choice(owners), "reading", str(i))
+        entries = [journal_entry_from_json(journal_entry_to_json(e)) for e in live.journal()]
+        reborn = Zone.from_master_file(text)
+        eq_calls[0] = 0
+        assert reborn.replay_journal(entries) == 500
+        assert eq_calls[0] <= self.MAX_CALLS * 500
+        assert reborn.serial == live.serial
 
 
 class TestStreamedImport:
