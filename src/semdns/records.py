@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Optional, Union
 
 Name = tuple[str, ...]
 
@@ -334,16 +334,7 @@ def import_master_file(source: Union[str, Iterable[str]]) -> tuple[Name, list[Re
         lines = itertools.chain.from_iterable(map(str.splitlines, source))
     origin: Name = ()
     records = []
-    names: dict[str, Name] = {}  # one tuple per spelling, shared by every record
-    labels: dict[str, str] = {}  # one string per label, shared by every name
-
-    def name(spelling: str) -> Name:
-        parsed = names.get(spelling)
-        if parsed is None:
-            parsed = parse_name(spelling)
-            parsed = names[spelling] = tuple(map(labels.setdefault, parsed, parsed))
-        return parsed
-
+    name = name_memo()
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith(";"):
@@ -361,11 +352,31 @@ def import_master_file(source: Union[str, Iterable[str]]) -> tuple[Name, list[Re
     return origin, records
 
 
+def name_memo(known: Optional[Callable[[Name], Name]] = None) -> Callable[[str], Name]:
+    """A ``parse_name`` that makes one tuple per spelling and one string
+    per label, shared by every name; ``known`` maps a new name to the
+    tuple to use instead, such as one a zone already holds."""
+    names: dict[str, Name] = {}
+    labels: dict[str, str] = {}
+
+    def name(spelling: str) -> Name:
+        parsed = names.get(spelling)
+        if parsed is None:
+            parsed = parse_name(spelling)
+            parsed = tuple(map(labels.setdefault, parsed, parsed))
+            if known is not None:
+                parsed = known(parsed)
+            names[spelling] = parsed
+        return parsed
+
+    return name
+
+
 def parse_record_line(line: str, name: Callable[[str], Name] = parse_name) -> ResourceRecord:
     """One master-file record: owner, TTL, class IN, type, rdata fields.
 
-    ``name`` parses each name field; an importer passes a memo so that
-    records share their name tuples.
+    ``name`` parses each name field; an importer passes a ``name_memo``
+    so that records share their name tuples.
     """
     fields = _tokenize(line)
     if len(fields) < 4:

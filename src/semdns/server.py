@@ -171,8 +171,10 @@ def handle_update(
     section must carry a TXT record ``token=<secret>``.  The zone section
     names the zone's SOA (RFC 2136 §3.1.1): another type is FORMERR,
     another name NOTAUTH.  Prerequisites (RFC 2136 §2.4) are not
-    supported: an UPDATE that carries any is NOTIMP.  An update record
-    of a class other than IN, NONE or ANY is FORMERR (§3.4.1.2).
+    supported: an UPDATE that carries any is NOTIMP.  A prescan (§3.4.1)
+    then checks each update record's zone, class, type and TXT key and
+    parses each registration; the records are then applied in order in
+    one ``Zone.batch()`` (§3.4.2), which a failure undoes whole.
     """
     if not _authorized(msg, config, source):
         log.warning("refused UPDATE from %s: not authorized", source)
@@ -188,36 +190,44 @@ def handle_update(
         log.warning("refused UPDATE: prerequisites are not supported")
         return msg.reply(rcode=RCODE_NOTIMP)
 
-    # validate first, building every record the update adds: an update is
-    # all-or-nothing.  Names are placed as the zone stands before it.
     register_owner = (REGISTER_LABEL,) + zone.service + zone.origin
-    ops = []
-    try:
-        for rr in msg.authority:
-            if not is_subdomain(rr.owner, zone.origin):
-                log.warning("refused UPDATE: %s is outside the zone", name_text(rr.owner))
-                return msg.reply(rcode=RCODE_NOTZONE)
-            if rr.rclass not in (CLASS_IN, CLASS_NONE, CLASS_ANY):
-                log.warning("malformed UPDATE: record class %d", rr.rclass)
+    registrations: list[DeviceRegistration] = []
+    for rr in msg.authority:
+        if not is_subdomain(rr.owner, zone.origin):
+            log.warning("refused UPDATE: %s is outside the zone", name_text(rr.owner))
+            return msg.reply(rcode=RCODE_NOTZONE)
+        if rr.rclass not in (CLASS_IN, CLASS_NONE, CLASS_ANY):
+            log.warning("malformed UPDATE: record class %d", rr.rclass)
+            return msg.reply(rcode=RCODE_FORMERR)
+        if rr.rtype != TYPE_TXT:
+            log.warning("refused UPDATE: record type %s not updatable", rr.type_name)
+            return msg.reply(rcode=RCODE_REFUSED)
+        if not txt_key(rr.rdata):  # no key=value form, or an empty key
+            return msg.reply(rcode=RCODE_REFUSED)
+        if rr.owner == register_owner:
+            try:
+                registrations.append(_parse_registration(txt_value(rr.rdata)))
+            except ZoneError as exc:
+                log.warning("malformed UPDATE: %s", exc)
                 return msg.reply(rcode=RCODE_FORMERR)
-            if rr.rtype != TYPE_TXT:
-                log.warning("refused UPDATE: record type %s not updatable", rr.type_name)
-                return msg.reply(rcode=RCODE_REFUSED)
-            key = txt_key(rr.rdata)
-            if not key:  # no key=value form, or an empty key
-                return msg.reply(rcode=RCODE_REFUSED)
-            if rr.owner == register_owner:
-                try:
-                    reg = _parse_registration(txt_value(rr.rdata))
-                except ZoneError as exc:
-                    log.warning("malformed UPDATE: %s", exc)
-                    return msg.reply(rcode=RCODE_FORMERR)
-                ops.append((rr, key, reg, zone.device_records(reg)))
-            elif rr.rclass in (CLASS_NONE, CLASS_ANY):
-                ops.append((rr, key, None, None))
-            else:
-                record = zone.txt_record(rr.owner, key, txt_value(rr.rdata), rr.ttl)
-                ops.append((rr, key, None, record))
+
+    parsed = iter(registrations)
+    status: list[ResourceRecord] = []
+    try:
+        with zone.batch():
+            for rr in msg.authority:
+                key = txt_key(rr.rdata)
+                if rr.owner == register_owner:
+                    changed, owner = zone.register_device(next(parsed))
+                    status.append(ResourceRecord(
+                        owner, 0,
+                        txt_pair("status", "registered" if changed else "unchanged"),
+                    ))
+                elif rr.rclass == CLASS_IN:
+                    zone.update_txt(rr.owner, key, txt_value(rr.rdata), ttl=rr.ttl)
+                # deleting data that is not there is a no-op (RFC 2136 §3.4.2.3)
+                elif zone.txt_records(rr.owner, key):
+                    zone.delete_txt(rr.owner, key)
     except (SizeGuardError, RecordError) as exc:
         # a record the wire cannot carry, or one too big for a datagram
         log.warning("refused UPDATE: %s", exc)
@@ -225,21 +235,6 @@ def handle_update(
     except ZoneError as exc:
         log.warning("failed UPDATE: %s", exc)
         return msg.reply(rcode=RCODE_SERVFAIL)
-    status: list[ResourceRecord] = []
-    # one serial and one journal entry for the whole update (RFC 2136 §3.7)
-    with zone.batch():
-        for rr, key, reg, added in ops:
-            if reg is not None:
-                changed, owner = zone.register_device(reg, added)
-                status.append(ResourceRecord(
-                    owner, 0,
-                    txt_pair("status", "registered" if changed else "unchanged"),
-                ))
-            elif added is not None:
-                zone.update_txt(rr.owner, key, txt_value(rr.rdata), ttl=rr.ttl, record=added)
-            # deleting data that is not there is a no-op (RFC 2136 §3.4.2.3)
-            elif zone.txt_records(rr.owner, key):
-                zone.delete_txt(rr.owner, key)
     return msg.reply(additional=tuple(status))
 
 

@@ -1,14 +1,15 @@
 """Authoritative zone state: records, journaled serials, discovery.
 
 The zone is the single source of truth the server answers from.  Every
-mutation (device registration, TXT data update, CNAME fan-out) goes
-through one writer path that bumps the SOA serial and appends a diff to
-the change journal, so incremental transfers can replay any retained
-serial.  Writes made inside ``Zone.batch()`` (one dynamic UPDATE) share
-one serial and one journal entry (RFC 2136 §3.7); the writer methods
-return the entry they made, or None inside a batch.  Serials follow RFC
-1982 arithmetic: they wrap from 2**32-1 to 0.  Reads take the same
-lock, so none sees a write half done.
+mutation (device registration, TXT data update, CNAME fan-out) is made
+inside a ``Zone.batch()``, a write outside one as a batch of its own.  A
+batch is all or nothing (RFC 2136 §3.7): it ends as one journal entry,
+persisted through ``on_mutate`` before the SOA serial moves, or, if
+anything in it raises, the persisting included, it is undone.  The
+journal lets incremental transfers replay any retained serial.  The
+writer methods return the entry they made, or None inside a batch.
+Serials follow RFC 1982 arithmetic: they wrap from 2**32-1 to 0.  Reads
+take the same lock, so none sees a write half done.
 
 Device discovery follows DNS-SD: registration stores an SRV (and
 optional TXT data) at ``<instance>.<identifier labels>.<service>`` plus
@@ -51,13 +52,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
+import os
 import threading
 from bisect import bisect_left, insort
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import wire
 from .bits import ALPHABET
@@ -65,9 +68,11 @@ from .records import (
     CNAME, NS, PTR, SOA, SRV, TXT,
     Name, ResourceRecord,
     TYPE_CNAME, TYPE_NS, TYPE_PTR, TYPE_SOA, TYPE_TXT,
-    export_master_file, import_master_file, is_subdomain, make_txt, name_text,
-    parse_record_line,
+    export_master_file, import_master_file, is_subdomain, make_txt, name_memo, name_text,
+    parse_name, parse_record_line,
 )
+
+log = logging.getLogger("semdns.zone")
 
 DEFAULT_SERVICE: Name = ("_iot", "_udp")
 DEFAULT_TTL = 100  # discovery records
@@ -133,6 +138,7 @@ class _Batch:
     deletions: list[ResourceRecord] = field(default_factory=list)
     additions: list[ResourceRecord] = field(default_factory=list)
     wrote: bool = False
+    entry: Optional[JournalEntry] = None  # the entry the batch made, once it has ended
 
 
 @dataclass(frozen=True)
@@ -251,10 +257,15 @@ class Zone:
     ) -> Optional[JournalEntry]:
         """Apply one diff to the records and indexes, all or nothing: a
         deletion of a record the zone does not hold (as many times as it
-        is listed) raises ZoneError before anything changes.  Outside a
-        batch, bumps the serial and returns the journal entry; inside
-        one, folds the diff into the batch's and returns None."""
+        is listed) raises ZoneError before anything changes.  Inside a
+        batch, folds the diff into the batch's and returns None; outside
+        one, runs as a batch of one and returns the entry it made."""
         with self._lock:
+            batch = self._batch
+            if batch is None:
+                with self.batch() as batch:
+                    self._mutate(deletions, additions)
+                return batch.entry
             if deletions:
                 for rr, n in Counter(deletions).items():
                     if self._owners.get(rr.owner, ()).count(rr) < n:
@@ -263,9 +274,6 @@ class Zone:
                 self._unindex(rr)
             for rr in additions:
                 self._index(rr)
-            batch = self._batch
-            if batch is None:
-                return self._commit(tuple(deletions), tuple(additions))
             batch.wrote = True
             # keep the batch's diff net: a record both added and deleted
             # inside the batch appears in neither list
@@ -281,39 +289,41 @@ class Zone:
                     batch.additions.append(rr)
             return None
 
-    def _commit(self, deletions: tuple[ResourceRecord, ...],
-                additions: tuple[ResourceRecord, ...]) -> JournalEntry:
-        """The next serial and its journal entry for an applied diff."""
-        self._serial = (self._serial + 1) % _SERIAL_MOD
-        entry = JournalEntry(self._serial, deletions, additions)
-        self._journal.append(entry)
-        if len(self._journal) > self.journal_retention:
-            del self._journal[: len(self._journal) - self.journal_retention]
-        if self.on_mutate is not None:
-            self.on_mutate(entry)
-        return entry
-
     @contextmanager
     def batch(self):
-        """Make the writes inside the block one change: one serial and one
-        journal entry, the net diff from before the block to after it,
-        made when the block ends, also if it raises.  Writes that cancel
-        out still take a serial, as a write of a value the zone already
-        holds does outside a batch; a block that writes nothing takes
-        none.  The block holds the zone lock, so readers see the zone
-        before it or after it; a batch inside a batch is part of the
-        outer one."""
+        """Make the writes inside the block one change, all or nothing: its
+        net diff becomes one journal entry at the next serial, which
+        ``on_mutate`` persists before the serial and the journal move; if
+        the block or ``on_mutate`` raises, the diff is undone and nothing
+        else has changed.  Writes that cancel out still take a serial; a
+        block that writes nothing takes none.  The block holds the zone
+        lock, so readers see the zone before it or after it; a batch
+        inside a batch is part of the outer one."""
         with self._lock:
             if self._batch is not None:
-                yield
+                yield self._batch
                 return
             batch = self._batch = _Batch()
             try:
-                yield
+                yield batch
+                if batch.wrote:
+                    entry = JournalEntry((self._serial + 1) % _SERIAL_MOD,
+                                         tuple(batch.deletions), tuple(batch.additions))
+                    if self.on_mutate is not None:
+                        self.on_mutate(entry)
+                    self._serial = entry.serial
+                    self._journal.append(entry)
+                    if len(self._journal) > self.journal_retention:
+                        del self._journal[: len(self._journal) - self.journal_retention]
+                    batch.entry = entry
+            except BaseException:
+                for rr in batch.additions:
+                    self._unindex(rr)
+                for rr in batch.deletions:
+                    self._index(rr)
+                raise
             finally:
                 self._batch = None
-                if batch.wrote:
-                    self._commit(tuple(batch.deletions), tuple(batch.additions))
 
     def _index(self, rr: ResourceRecord) -> None:
         owners = self._owners
@@ -383,49 +393,34 @@ class Zone:
         labels = split_labels(identifier, self.policy, self)
         return tuple(labels) + self.service + self.origin
 
-    def device_records(self, reg: DeviceRegistration) -> list[ResourceRecord]:
-        """The records that register ``reg``, SRV first.  Raises ZoneError
-        for a device the zone cannot place, RecordError for a field the
-        wire cannot carry and SizeGuardError for a record no datagram
-        answer can hold."""
+    def register_device(self, reg: DeviceRegistration) -> tuple[bool, Name]:
+        """Add a device's SRV, the PTR to it and its TXT data.  Returns
+        (changed, instance owner name); re-registering an identical device
+        is a no-op with changed=False.  Before anything changes, raises
+        ZoneError for a device the zone cannot place, RecordError for a
+        field the wire cannot carry and SizeGuardError for a record no
+        datagram answer can hold."""
         if not reg.instance or not reg.target:
             raise ZoneError("instance and target must be nonempty")
         ttl = reg.ttl if reg.ttl is not None else self.default_ttl
         with self._lock:
             id_owner = self._known(self.identifier_owner(reg.identifier))
             owner = self._known((reg.instance,) + id_owner)
-            target = self._known(reg.target)
-        wanted = [
-            ResourceRecord(owner, ttl, SRV(reg.priority, reg.weight, reg.port, target)),
-            ResourceRecord(id_owner, ttl, PTR(owner)),
-        ]
-        for key, value in reg.txt:
-            wanted.append(ResourceRecord(owner, ttl, txt_pair(key, value)))
-        for record in wanted:
-            _check_size_guard(record)
-        return wanted
-
-    def register_device(
-        self,
-        reg: DeviceRegistration,
-        records: Optional[Sequence[ResourceRecord]] = None,
-    ) -> tuple[bool, Name]:
-        """Add a device's records: ``records`` if the caller has built
-        them with ``device_records(reg)``, else that list built here.
-
-        Returns (changed, instance owner name).  Re-registering an
-        identical device is a no-op with changed=False.
-        """
-        if records is None:
-            records = self.device_records(reg)
-        owner = records[0].owner
-        with self._lock:
+            wanted = [
+                ResourceRecord(owner, ttl, SRV(reg.priority, reg.weight, reg.port,
+                                               self._known(reg.target))),
+                ResourceRecord(id_owner, ttl, PTR(owner)),
+            ]
+            for key, value in reg.txt:
+                wanted.append(ResourceRecord(owner, ttl, txt_pair(key, value)))
+            for record in wanted:
+                _check_size_guard(record)
             # Every record, where self._owners.get(rr.owner, ()) would do: a
             # faster join grows the zone of the fixed-time churn benchmark (a
             # prototype went from 99.7 to 1,297 ops/s and from 23.6 to 43.4
             # MiB of server RSS), so this waits for a fixed-length churn run.
             held = self.records()
-            additions = [rr for rr in records if rr not in held]
+            additions = [rr for rr in wanted if rr not in held]
             if not additions:
                 return False, owner
             self._mutate((), additions)
@@ -437,24 +432,16 @@ class Zone:
         """The TXT records at ``owner`` that hold data for ``key``."""
         return [r for r in self.records_at(owner, TYPE_TXT) if txt_key(r.rdata) == key]
 
-    def txt_record(self, owner: Name, key: str, value: str,
-                   ttl: Optional[int] = None) -> ResourceRecord:
-        """The record that sets ``key=value`` at an owner, checked to fit
-        a datagram answer."""
+    def update_txt(self, owner: Name, key: str, value: str,
+                   ttl: Optional[int] = None) -> Optional[JournalEntry]:
+        """Set ``key=value`` data at an owner, replacing any previous value.
+        SizeGuardError, before anything changes, for a record no datagram
+        answer can hold."""
         rdata = txt_pair(key, value)
         ttl = ttl if ttl is not None else self.default_ttl
         with self._lock:
             record = ResourceRecord(self._known(owner), ttl, rdata)
-        _check_size_guard(record)
-        return record
-
-    def update_txt(self, owner: Name, key: str, value: str, ttl: Optional[int] = None,
-                   record: Optional[ResourceRecord] = None) -> Optional[JournalEntry]:
-        """Set ``key=value`` data at an owner, replacing any previous value.
-        ``record`` is the ``txt_record`` of these arguments, if built."""
-        with self._lock:
-            if record is None:
-                record = self.txt_record(owner, key, value, ttl)
+            _check_size_guard(record)
             return self._mutate(self.txt_records(owner, key), (record,))
 
     def delete_txt(self, owner: Name, key: str) -> Optional[JournalEntry]:
@@ -741,39 +728,61 @@ def journal_entry_to_json(entry: JournalEntry) -> str:
     })
 
 
-def journal_entry_from_json(line: str) -> JournalEntry:
+def journal_entry_from_json(line: Union[str, bytes]) -> JournalEntry:
+    return _entry_from_json(line, parse_name)
+
+
+def _entry_from_json(line: Union[str, bytes], name: Callable[[str], Name]) -> JournalEntry:
     obj = json.loads(line)
+    if type(obj["serial"]) is not int or not 0 <= obj["serial"] < _SERIAL_MOD:
+        raise ValueError(f"serial {obj['serial']!r} is not a 32-bit unsigned integer")
     return JournalEntry(
         obj["serial"],
-        tuple(parse_record_line(l) for l in obj["del"]),
-        tuple(parse_record_line(l) for l in obj["add"]),
+        tuple(parse_record_line(l, name) for l in obj["del"]),
+        tuple(parse_record_line(l, name) for l in obj["add"]),
     )
 
 
 class JournalFile:
     """Append-only on-disk journal so IXFR history survives restarts.
 
-    One append handle stays open from the first append until ``close``;
-    each entry is written and flushed as one line, so the OS holds it
-    before ``append`` returns.
+    One append handle stays open from the first append until ``close``.
+    Each entry is one JSON line in one unbuffered write, so the OS holds
+    it before ``append`` returns, and an append that raises cuts the file
+    back to where it was.  A last line with no newline is an append that
+    never finished (never answered): reading drops it with a warning,
+    and the next append cuts it away.
     """
 
     def __init__(self, path):
         self.path = path
         self._fh = None
+        self._torn: Optional[int] = None  # the length before an unfinished last line
 
     def append(self, entry: JournalEntry) -> None:
+        data = (journal_entry_to_json(entry) + "\n").encode()
         if self._fh is None:
-            self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(journal_entry_to_json(entry) + "\n")
-        self._fh.flush()
+            self._fh = open(self.path, "ab", buffering=0)
+        fh = self._fh
+        if self._torn is not None:
+            fh.truncate(self._torn)
+            self._torn = None
+        end = fh.seek(0, os.SEEK_END)
+        try:
+            written = fh.write(data)
+            if written != len(data):
+                raise OSError(f"short write to {self.path}: {written} of {len(data)} bytes")
+        except BaseException:
+            fh.truncate(end)
+            raise
 
     def attach(self, zone: Zone) -> int:
         """Start ``zone`` from this file: adopt its history, replay the
         entries after the zone's serial, then append every later change
-        here.  Returns how many entries were replayed; raises ZoneError as
-        ``Zone.replay_journal`` does."""
-        entries = self.load()
+        here.  The entries read share the zone's name tuples.  Returns how
+        many entries were replayed; raises ZoneError for a line that does
+        not parse, and as ``Zone.replay_journal`` does."""
+        entries = self._read(name_memo(zone._known))
         zone.load_journal(entries)
         # the replayed entries are in the file already: persist only later ones
         replayed = zone.replay_journal(entries)
@@ -787,8 +796,26 @@ class JournalFile:
             self._fh = None
 
     def load(self) -> list[JournalEntry]:
+        """The entries the file holds; ZoneError, naming the line, for a
+        line that does not parse."""
+        return self._read(name_memo())
+
+    def _read(self, name: Callable[[str], Name]) -> list[JournalEntry]:
+        entries, whole = [], 0  # whole: the length of the lines read so far
         try:
-            with open(self.path, encoding="utf-8") as fh:
-                return [journal_entry_from_json(line) for line in fh if line.strip()]
+            with open(self.path, "rb") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    if not line.endswith(b"\n"):
+                        log.warning("journal %s: dropped line %d, an unfinished append of %d"
+                                    " bytes", self.path, lineno, len(line))
+                        self._torn = whole
+                        break
+                    whole += len(line)
+                    try:
+                        if line.strip():
+                            entries.append(_entry_from_json(line, name))
+                    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+                        raise ZoneError(f"journal line {lineno}: {exc}") from None
         except FileNotFoundError:
-            return []
+            pass
+        return entries

@@ -23,6 +23,20 @@ def build_fixture_zone(policy=SplitPolicy("static", 4)) -> Zone:
     return zone
 
 
+class HalfWrites:
+    """A journal handle whose writes stop halfway, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
 @pytest.fixture
 def registry():
     return default_registry()

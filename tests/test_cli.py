@@ -289,3 +289,17 @@ class TestServe:
         code, _, err = run(capsys, "serve", "--zone-file", str(zone_file),
                            "--journal", str(journal), "--port", "0")
         assert code == 1 and "error: journal entry 7" in err
+
+    def test_journal_with_a_bad_line_is_refused_naming_it(self, capsys, tmp_path, fixture_zone,
+                                                           monkeypatch):
+        monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: None)
+        zone_file, journal = tmp_path / "zone.txt", tmp_path / "journal.jsonl"
+        zone_file.write_text(fixture_zone.export_master_file(), encoding="utf-8")  # serial 5
+        lines = [journal_entry_to_json(JournalEntry(
+            serial, (), (ResourceRecord((f"x{serial}",), 60, A("10.0.0.1")),)))
+            for serial in (6, 7, 8)]
+        lines[1] = lines[1][:-20]  # cut short, and not the last line
+        journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "serve", "--zone-file", str(zone_file),
+                           "--journal", str(journal), "--port", "0")
+        assert code == 1 and "error: journal line 2: " in err

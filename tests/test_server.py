@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_fixture_zone
+from conftest import HalfWrites, build_fixture_zone
 from semdns import client, server as server_module, wire
 from semdns.records import (
     A, CLASS_NONE, CNAME, PTR, ResourceRecord, SOA, SRV, TXT,
@@ -546,6 +546,52 @@ class TestUpdate:
         assert fixture_zone.records_at(owner, TYPE_TXT) == txt
         assert fixture_zone.serial == 5 and fixture_zone.journal() == journal
 
+    def test_a_failed_journal_append_changes_nothing(self, tmp_path):
+        # RFC 2136 §3.4.2: a failure in persistent storage undoes the update
+        zone = build_fixture_zone()
+        text, path = zone.export_master_file(), tmp_path / "journal.jsonl"
+        journal = JournalFile(path)
+        journal.attach(zone)
+        append = zone.on_mutate
+
+        def full_disk_once(entry):
+            zone.on_mutate = append
+            raise OSError(28, "No space left on device")
+
+        zone.on_mutate = full_disk_once
+        owner = parse_name("temperature.dr56._iot._udp")
+        records, journal_before = zone.records(), zone.journal()
+        try:
+            for value, rcode in (("20", RCODE_SERVFAIL), ("21", RCODE_NOERROR)):
+                update = update_msg([ResourceRecord(owner, 100, txt_pair("temperature", value))])
+                reply = wire.decode(dispatch(wire.encode(update), zone, ServerConfig(port=0),
+                                             stream=False, source="127.0.0.1"))
+                assert reply.rcode == rcode
+                if rcode == RCODE_SERVFAIL:
+                    assert zone.records() == records and zone.serial == 5
+                    assert zone.journal() == journal_before and not path.exists()
+        finally:
+            journal.close()
+        assert zone.serial == 6
+        assert [t.rdata.text for t in zone.records_at(owner, TYPE_TXT)] == ["temperature=21"]
+        reborn = Zone.from_master_file(text, policy=zone.policy)
+        assert JournalFile(path).attach(reborn) == 1
+        assert reborn.serial == 6 and Counter(reborn.records()) == Counter(zone.records())
+
+    def test_the_update_section_applies_in_order(self):
+        # RFC 2136 §3.4.2: a registration placed by the len= records before it
+        zone = Zone(policy=SplitPolicy("dynamic"))
+        reg = DeviceRegistration("t", "dr56", 80, parse_name("h.example"))
+        updates = [ResourceRecord(zone.service, 100, txt_pair("len", "2")),
+                   ResourceRecord(("dr",) + zone.service, 100, txt_pair("len", "2")),
+                   ResourceRecord((REGISTER_LABEL,) + zone.service, 0,
+                                  txt_pair("register", pack_registration(reg)))]
+        reply = admit(zone, update_msg(updates))
+        assert reply.rcode == RCODE_NOERROR
+        assert [txt_value(r.rdata) for r in reply.additional] == ["registered"]
+        assert zone.records_at(parse_name("t.56.dr._iot._udp"), TYPE_SRV)
+        assert zone.serial == 2 and len(zone.journal()) == 1
+
     def test_record_outside_the_zone_is_notzone(self):
         # RFC 2136 §3.4.1.3
         zone = Zone(origin=parse_name("example.org"))
@@ -583,17 +629,26 @@ update_records = st.one_of(
 )
 
 
+#: what becomes of an UPDATE sent to the restarting server: applied, refused
+#: for an oversized TXT record placed among its records, or failed by a
+#: journal append that stops halfway
+FATES = ("applied", "refused", "append fails")
+
+
 @settings(max_examples=60, deadline=None)
 @given(history=st.lists(st.tuples(st.lists(update_records, min_size=1, max_size=4),
-                                  st.booleans()), max_size=8),
+                                  st.sampled_from(FATES), st.integers(0, 4), st.booleans()),
+                        max_size=8),
        retention=st.sampled_from([2, 1024]))
 def test_restarts_anywhere_in_an_update_history_change_nothing(history, retention):
     """UPDATEs of one to four records, with a restart from the master file
     and the journal file after any of them: the zone, its serial and the
-    IXFR from every serial match a server that never restarted."""
+    IXFR from every serial match a server that never restarted and never
+    received the UPDATEs that were refused or failed to persist."""
     text = build_fixture_zone().export_master_file()
     policy, config = SplitPolicy("static", 4), ServerConfig(port=0)
     live = Zone.from_master_file(text, policy=policy, journal_retention=retention)
+    oversized = ResourceRecord(RESTART_OWNERS[0], 100, txt_pair("blob", "x" * 2000))
     with tempfile.TemporaryDirectory() as tmp:
         journal = JournalFile(os.path.join(tmp, "journal.jsonl"))
 
@@ -605,11 +660,26 @@ def test_restarts_anywhere_in_an_update_history_change_nothing(history, retentio
 
         zone = restart()
         try:
-            for updates, then_restart in history:
-                msg = update_msg(updates)
-                assert handle_update(msg, zone, config) == handle_update(msg, live, config)
+            for updates, fate, at, then_restart in history:
+                if fate == "refused":
+                    msg = update_msg(updates[:at] + [oversized] + updates[at:])
+                    assert handle_update(msg, zone, config).rcode == RCODE_REFUSED
+                else:
+                    msg = update_msg(updates)
+                    if fate == "append fails":
+                        journal._fh = HalfWrites(journal._fh or open(journal.path, "ab", 0))
+                    try:
+                        reply = handle_update(msg, zone, config)
+                    except OSError:
+                        reply = None  # a write that did not persist: answered SERVFAIL
+                    finally:
+                        if isinstance(journal._fh, HalfWrites):
+                            journal._fh = journal._fh.fh
+                    if reply is not None:
+                        assert reply == handle_update(msg, live, config)
                 if then_restart:
                     zone = restart()
+            zone = restart()  # the journal file holds what was answered, no more
         finally:
             journal.close()
     assert zone.serial == live.serial

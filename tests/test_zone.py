@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_fixture_zone
+from conftest import HalfWrites, build_fixture_zone
 from semdns.bits import ALPHABET
 from semdns.geo import GeoPoint, encode_geohash
 from semdns.records import (
@@ -361,18 +361,39 @@ class TestBatch:
             fixture_zone.records_at(self.OWNER)
         assert zone_state(fixture_zone) == state
 
-    def test_what_was_applied_is_journaled_when_the_block_raises(self, fixture_zone):
+    def test_a_block_that_raises_is_undone(self, fixture_zone):
         seen = []
         fixture_zone.on_mutate = seen.append
+        state = zone_state(fixture_zone)
         with pytest.raises(ZoneError):
             with fixture_zone.batch():
                 fixture_zone.update_txt(self.OWNER, "a", "1")
+                fixture_zone.update_txt(self.OWNER, "temperature", "15")
                 fixture_zone.delete_txt(self.OWNER, "missing")
-        entry, = seen
-        assert entry.serial == fixture_zone.serial == 6
-        assert [r.rdata.text for r in entry.additions] == ["a=1"]
+        assert zone_state(fixture_zone) == state and seen == []
+        assert_indexes_match_scans(fixture_zone)
         # the zone takes writes of its own again
-        assert fixture_zone.update_txt(self.OWNER, "a", "2").serial == 7
+        assert fixture_zone.update_txt(self.OWNER, "a", "2").serial == 6
+
+    def test_a_failed_persist_is_undone(self, fixture_zone):
+        def full_disk(entry):
+            raise OSError("no space left on device")
+
+        state = zone_state(fixture_zone)
+        fixture_zone.on_mutate = full_disk
+        for write in (lambda: fixture_zone.update_txt(self.OWNER, "temperature", "15"),
+                      lambda: fixture_zone.delete_txt(self.OWNER, "temperature"),
+                      lambda: fixture_zone.register_device(DeviceRegistration(
+                          "pressure", "dr78", 9000, parse_name("dr78.unipr.it")))):
+            with pytest.raises(OSError):
+                write()
+            assert zone_state(fixture_zone) == state
+        assert_indexes_match_scans(fixture_zone)
+
+    def test_a_write_outside_a_batch_is_netted(self, fixture_zone):
+        # setting the value held is an empty step, as inside a batch
+        entry = fixture_zone.update_txt(self.OWNER, "temperature", "14")
+        assert entry == JournalEntry(6, (), ()) == fixture_zone.journal()[-1]
 
     def test_a_nested_batch_is_part_of_the_outer_one(self, fixture_zone):
         with fixture_zone.batch():
@@ -594,6 +615,99 @@ class TestJournalPersistence:
             for e in build_fixture_zone().journal()
         ])
         assert all(e.serial <= 5 for e in zone.journal())
+
+    OWNER = parse_name("temperature.dr56._iot._udp")
+
+    def history(self, path, values):
+        """The fixture zone's master file, and a zone that has journaled a
+        TXT set of each value to ``path`` after it."""
+        zone = build_fixture_zone()
+        text = zone.export_master_file()
+        journal = JournalFile(path)
+        journal.attach(zone)
+        for value in values:
+            zone.update_txt(self.OWNER, "temperature", value)
+        journal.close()
+        return text, zone
+
+    @staticmethod
+    def restart(text, path):
+        zone = Zone.from_master_file(text, policy=SplitPolicy("static", 4))
+        journal = JournalFile(path)
+        return zone, journal, journal.attach(zone)
+
+    def test_a_torn_last_line_is_dropped_then_cut_away(self, tmp_path, caplog):
+        path = tmp_path / "journal.jsonl"
+        text, live = self.history(path, ("15", "16", "17"))
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-20])  # the last append stopped 20 bytes short
+        zone, journal, replayed = self.restart(text, path)
+        assert replayed == 2 and zone.serial == 7
+        assert "dropped line 3, an unfinished append" in caplog.text
+        assert zone.journal() == live.journal()[:-1]
+        zone.update_txt(self.OWNER, "temperature", "18")
+        journal.close()
+        assert path.read_bytes().count(b"\n") == 3
+        reborn, _, replayed = self.restart(text, path)
+        assert replayed == 3 and reborn.serial == 8
+        assert reborn.records() == zone.records()
+
+    def test_a_bad_line_is_named(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        text, _ = self.history(path, ("15", "16", "17"))
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1][:-20]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ZoneError, match="^journal line 2: "):
+            self.restart(text, path)
+        with pytest.raises(ZoneError, match="^journal line 2: "):
+            JournalFile(path).load()
+
+    @pytest.mark.parametrize("line", [b"[]", b'{"serial": "6", "del": [], "add": []}',
+                                      b'{"serial": 6, "del": [7], "add": []}',
+                                      b'{"serial": 6, "del": [{}], "add": []}',
+                                      b'{"serial": 6, "del": [], "add": ["x. 1 IN A 1.2.3"]}'])
+    def test_a_line_that_is_json_but_no_entry_is_named(self, tmp_path, line):
+        path = tmp_path / "journal.jsonl"
+        path.write_bytes(b"\n" + line + b"\n")
+        with pytest.raises(ZoneError, match="^journal line 2: "):
+            JournalFile(path).load()
+
+    def test_an_append_that_fails_halfway_leaves_the_file_as_it_was(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        text, _ = self.history(path, ("15",))
+        zone, journal, _ = self.restart(text, path)
+        zone.update_txt(self.OWNER, "temperature", "16")
+        before, state = path.read_bytes(), zone_state(zone)
+        journal._fh = HalfWrites(journal._fh)
+        with pytest.raises(OSError, match="No space left"):
+            zone.update_txt(self.OWNER, "temperature", "99")
+        assert path.read_bytes() == before and zone_state(zone) == state
+        journal._fh = journal._fh.fh
+        zone.update_txt(self.OWNER, "temperature", "17")
+        journal.close()
+        reborn, _, replayed = self.restart(text, path)
+        assert replayed == 3 and reborn.serial == zone.serial == 8
+        assert reborn.journal() == zone.journal()
+        assert reborn.records() == zone.records()
+
+    def test_replayed_records_share_the_zones_names(self, tmp_path):
+        text = generated_master_file(300)
+        path = tmp_path / "journal.jsonl"
+        live = Zone.from_master_file(text)
+        journal = JournalFile(path)
+        journal.attach(live)
+        rng = random.Random(7)
+        owners = [r.owner for r in live.records() if r.rtype == TYPE_TXT]
+        for i in range(300):
+            live.update_txt(rng.choice(owners), "reading", str(i))
+        journal.close()
+        zone = Zone.from_master_file(text)
+        assert JournalFile(path).attach(zone) == 300
+        foreign = [rr for name, here in zone._owners.items() for rr in here
+                   if rr.owner is not name]
+        assert foreign == []
+        assert_indexes_hold_the_zones_objects(zone)
 
 
 # ---------------------------------------------------------------------------
