@@ -2,7 +2,8 @@
 
 Every subcommand supports ``--json`` for machine-readable output.  Exit
 codes: 0 success (including empty NOERROR answers), 1 usage or input
-error, 2 network failure, 3 NXDOMAIN/REFUSED from the server.
+error, 2 network failure or any other failing rcode, 3 NXDOMAIN/REFUSED
+from the server.
 """
 
 from __future__ import annotations
@@ -74,9 +75,17 @@ def _print_sections(reply, args) -> int:
             print(r.render())
         if reply.rcode != RCODE_NOERROR:
             print(f";; rcode: {RCODE_NAMES.get(reply.rcode, reply.rcode)}")
-    if reply.rcode in (RCODE_NXDOMAIN, RCODE_REFUSED):
-        return EXIT_NAME
-    return EXIT_OK if reply.rcode == RCODE_NOERROR else EXIT_NETWORK
+    return _rcode_exit(reply)
+
+
+def _rcode_exit(reply, failure: str = "") -> int:
+    """0 for NOERROR, 3 for NXDOMAIN or REFUSED, 2 for any other rcode,
+    which is named on stderr after ``failure`` if that is given."""
+    if reply.rcode == RCODE_NOERROR:
+        return EXIT_OK
+    if failure:
+        print(f"{failure}: {RCODE_NAMES.get(reply.rcode, reply.rcode)}", file=sys.stderr)
+    return EXIT_NAME if reply.rcode in (RCODE_NXDOMAIN, RCODE_REFUSED) else EXIT_NETWORK
 
 
 def _record_json(r: ResourceRecord) -> dict:
@@ -182,8 +191,7 @@ def cmd_register(args) -> int:
     reply = client.register_device(
         host, port, parse_name(args.zone), DEFAULT_SERVICE, reg, secret=args.secret)
     if reply.rcode != RCODE_NOERROR:
-        print(f"update refused: {RCODE_NAMES.get(reply.rcode, reply.rcode)}", file=sys.stderr)
-        return EXIT_NAME
+        return _rcode_exit(reply, "update refused")
     statuses = [
         (name_text(r.owner), r.rdata.text.split("=", 1)[1])
         for r in reply.additional
@@ -203,8 +211,7 @@ def cmd_update_txt(args) -> int:
         record = client.txt_update_record(owner, args.key, args.value or "", args.ttl)
     reply = client.send_update(host, port, parse_name(args.zone), (record,), secret=args.secret)
     if reply.rcode != RCODE_NOERROR:
-        print(f"update refused: {RCODE_NAMES.get(reply.rcode, reply.rcode)}", file=sys.stderr)
-        return EXIT_NAME
+        return _rcode_exit(reply, "update refused")
     _emit(args, {"command": "update-txt", "owner": name_text(owner), "key": args.key},
           f"updated {args.key} at {name_text(owner)}")
     return EXIT_OK
@@ -241,7 +248,7 @@ def cmd_export_zone(args) -> int:
         host, port = _server_addr(args.server)
         reply = client.axfr(host, port, parse_name(args.zone))
         if reply.rcode != RCODE_NOERROR:
-            return EXIT_NAME
+            return _rcode_exit(reply, "transfer failed")
         # strip the trailing SOA of the transfer framing
         records = list(reply.answers[:-1]) if len(reply.answers) > 1 else list(reply.answers)
         text = export_master_file(parse_name(args.zone), records)

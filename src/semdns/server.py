@@ -225,9 +225,12 @@ def handle_update(
                     ))
                 elif rr.rclass == CLASS_IN:
                     zone.update_txt(rr.owner, key, txt_value(rr.rdata), ttl=rr.ttl)
-                # deleting data that is not there is a no-op (RFC 2136 §3.4.2.3)
-                elif zone.txt_records(rr.owner, key):
-                    zone.delete_txt(rr.owner, key)
+                else:
+                    # class NONE deletes only the records holding its data (RFC 2136
+                    # §2.5.4); deleting data that is not there is a no-op (§3.4.2.3)
+                    value = txt_value(rr.rdata) if rr.rclass == CLASS_NONE else None
+                    if zone.txt_records(rr.owner, key, value):
+                        zone.delete_txt(rr.owner, key, value)
     except (SizeGuardError, RecordError) as exc:
         # a record the wire cannot carry, or one too big for a datagram
         log.warning("refused UPDATE: %s", exc)

@@ -76,6 +76,8 @@ log = logging.getLogger("semdns.zone")
 
 DEFAULT_SERVICE: Name = ("_iot", "_udp")
 DEFAULT_TTL = 100  # discovery records
+#: the SOA rdata of a zone built in code, at TTL ``DEFAULT_TTL``
+DEFAULT_SOA = SOA(("ns",), ("hostmaster",), 1, 7200, 900, 86400, 100)
 DEFAULT_JOURNAL_RETENTION = 1024
 _SERIAL_MOD = 1 << 32
 #: a name's labels from the root down: the sort key of ``Zone._names``
@@ -152,28 +154,23 @@ class IxfrDiff:
 
 
 class Zone:
+    #: the one service devices register under; the TTL of the records the zone makes
+    service: Name = DEFAULT_SERVICE
+    default_ttl: int = DEFAULT_TTL
+
     def __init__(
         self,
         origin: Name = (),
-        service: Name = DEFAULT_SERVICE,
         policy: SplitPolicy = SplitPolicy(),
-        mname: Name = ("ns",),
-        rname: Name = ("hostmaster",),
         serial: int = 1,
-        refresh: int = 7200,
-        retry: int = 900,
-        expire: int = 86400,
-        minimum: int = 100,
-        default_ttl: int = DEFAULT_TTL,
         journal_retention: int = DEFAULT_JOURNAL_RETENTION,
     ):
         self.origin = origin
-        self.service = service
         self.policy = policy
-        self.default_ttl = default_ttl
         self.journal_retention = journal_retention
-        self._soa_params = (mname, rname, refresh, retry, expire, minimum)
         self._serial = serial
+        # the apex SOA, its serial aside; from_master_file keeps the file's
+        self._soa = ResourceRecord(origin, DEFAULT_TTL, DEFAULT_SOA)
         # the store and its read indexes (see the module docstring); only
         # the writer path and from_master_file change them
         self._owners: dict[Name, tuple[ResourceRecord, ...]] = {}
@@ -193,15 +190,12 @@ class Zone:
             return self._serial
 
     def soa_record(self, serial: Optional[int] = None) -> ResourceRecord:
-        mname, rname, refresh, retry, expire, minimum = self._soa_params
-        with self._lock:
-            if serial is None:
-                serial = self._serial
-            return ResourceRecord(
-                self.origin,
-                self.default_ttl,
-                SOA(mname, rname, serial, refresh, retry, expire, minimum),
-            )
+        """The apex SOA at ``serial``, by default at the zone's own."""
+        if serial is None:
+            serial = self.serial
+        soa, d = self._soa, self._soa.rdata
+        return ResourceRecord(soa.owner, soa.ttl,
+                              SOA(d.mname, d.rname, serial, d.refresh, d.retry, d.expire, d.minimum))
 
     def records(self) -> list[ResourceRecord]:
         """All records except the SOA, grouped by owner name."""
@@ -386,9 +380,6 @@ class Zone:
 
     # -- device registration ------------------------------------------------
 
-    def instance_owner(self, reg: DeviceRegistration) -> Name:
-        return (reg.instance,) + self.identifier_owner(reg.identifier)
-
     def identifier_owner(self, identifier: str) -> Name:
         labels = split_labels(identifier, self.policy, self)
         return tuple(labels) + self.service + self.origin
@@ -428,9 +419,12 @@ class Zone:
 
     # -- TXT data store ------------------------------------------------------
 
-    def txt_records(self, owner: Name, key: str) -> list[ResourceRecord]:
-        """The TXT records at ``owner`` that hold data for ``key``."""
-        return [r for r in self.records_at(owner, TYPE_TXT) if txt_key(r.rdata) == key]
+    def txt_records(self, owner: Name, key: str,
+                    value: Optional[str] = None) -> list[ResourceRecord]:
+        """The TXT records at ``owner`` that hold data for ``key``; with
+        ``value``, only those that hold ``key=value``."""
+        return [r for r in self.records_at(owner, TYPE_TXT) if txt_key(r.rdata) == key
+                and (value is None or txt_value(r.rdata) == value)]
 
     def update_txt(self, owner: Name, key: str, value: str,
                    ttl: Optional[int] = None) -> Optional[JournalEntry]:
@@ -444,9 +438,12 @@ class Zone:
             _check_size_guard(record)
             return self._mutate(self.txt_records(owner, key), (record,))
 
-    def delete_txt(self, owner: Name, key: str) -> Optional[JournalEntry]:
+    def delete_txt(self, owner: Name, key: str,
+                   value: Optional[str] = None) -> Optional[JournalEntry]:
+        """Remove the data for ``key`` at ``owner``; with ``value``, only
+        the records that hold ``key=value``.  ZoneError if there are none."""
         with self._lock:
-            old = self.txt_records(owner, key)
+            old = self.txt_records(owner, key, value)
             if not old:
                 raise ZoneError(f"no TXT data {key!r} at {name_text(owner)}")
             return self._mutate(old, ())
@@ -559,18 +556,12 @@ class Zone:
         soas = [i for i, r in enumerate(records) if r.rdata.rtype == TYPE_SOA]
         if len(soas) != 1:
             raise ZoneError(f"master file must hold exactly one SOA, found {len(soas)}")
-        soa = records.pop(soas[0]).rdata
-        zone = cls(
-            origin=origin,
-            mname=soa.mname,
-            rname=soa.rname,
-            serial=soa.serial,
-            refresh=soa.refresh,
-            retry=soa.retry,
-            expire=soa.expire,
-            minimum=soa.minimum,
-            **kwargs,
-        )
+        soa = records.pop(soas[0])
+        if soa.owner != origin:  # RFC 1035 §5.2: the SOA is at the top of the zone
+            raise ZoneError(f"the SOA is at {name_text(soa.owner)}, "
+                            f"not at the origin {name_text(origin)}")
+        zone = cls(origin=origin, serial=soa.rdata.serial, **kwargs)
+        zone._soa = soa
         zone._build_indexes(records)
         return zone
 
@@ -728,11 +719,8 @@ def journal_entry_to_json(entry: JournalEntry) -> str:
     })
 
 
-def journal_entry_from_json(line: Union[str, bytes]) -> JournalEntry:
-    return _entry_from_json(line, parse_name)
-
-
-def _entry_from_json(line: Union[str, bytes], name: Callable[[str], Name]) -> JournalEntry:
+def journal_entry_from_json(line: Union[str, bytes],
+                            name: Callable[[str], Name] = parse_name) -> JournalEntry:
     obj = json.loads(line)
     if type(obj["serial"]) is not int or not 0 <= obj["serial"] < _SERIAL_MOD:
         raise ValueError(f"serial {obj['serial']!r} is not a 32-bit unsigned integer")
@@ -813,7 +801,7 @@ class JournalFile:
                     whole += len(line)
                     try:
                         if line.strip():
-                            entries.append(_entry_from_json(line, name))
+                            entries.append(journal_entry_from_json(line, name))
                     except (ValueError, LookupError, TypeError, AttributeError) as exc:
                         raise ZoneError(f"journal line {lineno}: {exc}") from None
         except FileNotFoundError:

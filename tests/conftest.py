@@ -23,6 +23,13 @@ def build_fixture_zone(policy=SplitPolicy("static", 4)) -> Zone:
     return zone
 
 
+#: the SOA line of ``SOA_MASTER_FILE``: its TTL, names and timers are all
+#: other than those of a zone built in code
+SOA_LINE = "example.\t3600\tIN\tSOA\tns1.example. admin.example. 5 3600 600 604800 300"
+#: a master file in canonical form, as ``Zone.export_master_file`` writes it
+SOA_MASTER_FILE = f"$ORIGIN example.\n{SOA_LINE}\ndr56.example.\t100\tIN\tA\t160.78.28.203\n"
+
+
 class HalfWrites:
     """A journal handle whose writes stop halfway, as on a full disk."""
 
@@ -45,6 +52,16 @@ def registry():
 @pytest.fixture
 def fixture_zone():
     return build_fixture_zone()
+
+
+@pytest.fixture(scope="module")
+def large_zone():
+    """1,500 devices: a full transfer is over 65,535 bytes."""
+    zone = Zone()
+    for i in range(1500):
+        zone.register_device(DeviceRegistration(
+            f"dev{i}", f"dr{i:04d}", 8080, parse_name(f"h{i}.example")))
+    return zone
 
 
 @pytest.fixture

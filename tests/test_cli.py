@@ -3,9 +3,11 @@ import logging
 
 import pytest
 
+from conftest import SOA_LINE, SOA_MASTER_FILE
 from semdns.cli import main
 from semdns.records import A, ResourceRecord
-from semdns.zone import JournalEntry, journal_entry_to_json
+from semdns.server import DnsServer, ServerConfig
+from semdns.zone import JournalEntry, Zone, journal_entry_to_json
 
 
 def run(capsys, *argv):
@@ -216,7 +218,6 @@ class TestNetworkCommands:
 
     def test_update_refused_without_secret(self, capsys):
         from conftest import build_fixture_zone
-        from semdns.server import DnsServer, ServerConfig
         server = DnsServer(build_fixture_zone(),
                            ServerConfig(port=0, update_secret="s3cret"))
         server.start()
@@ -231,6 +232,16 @@ class TestNetworkCommands:
             assert code == 0
         finally:
             server.shutdown()
+
+    def test_update_answered_notzone_is_exit_2(self, capsys):
+        server = DnsServer(Zone(origin=("example",)), ServerConfig(port=0))
+        server.start()
+        try:
+            code, _, err = run(capsys, "update-txt", "temperature.other", "k", "1",
+                               "--zone", "example", "--server", f"127.0.0.1:{server.port}")
+        finally:
+            server.shutdown()
+        assert code == 2 and "NOTZONE" in err
 
     def test_axfr_and_ixfr(self, capsys, running_server):
         host, port, zone = running_server
@@ -253,6 +264,15 @@ class TestNetworkCommands:
         assert code == 0
         assert "SRV\t10 20 8080 dr56.unipr.it." in out
         assert out.count("IN\tSOA") == 1
+
+    def test_export_zone_over_one_message_is_exit_2_naming_servfail(self, capsys, large_zone):
+        server = DnsServer(large_zone, ServerConfig(port=0))
+        server.start()
+        try:
+            code, out, err = run(capsys, "export-zone", "--server", f"127.0.0.1:{server.port}")
+        finally:
+            server.shutdown()
+        assert code == 2 and out == "" and "SERVFAIL" in err
 
     def test_export_zone_from_file(self, capsys, tmp_path, fixture_zone):
         path = tmp_path / "zone.txt"
@@ -289,6 +309,15 @@ class TestServe:
         code, _, err = run(capsys, "serve", "--zone-file", str(zone_file),
                            "--journal", str(journal), "--port", "0")
         assert code == 1 and "error: journal entry 7" in err
+
+    def test_an_soa_off_the_origin_is_refused(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: None)
+        monkeypatch.setattr(DnsServer, "serve_forever", lambda self: None)
+        zone_file = tmp_path / "zone.txt"
+        zone_file.write_text(SOA_MASTER_FILE.replace(f"\n{SOA_LINE}", f"\nwww.{SOA_LINE}"),
+                             encoding="utf-8")
+        code, _, err = run(capsys, "serve", "--zone-file", str(zone_file), "--port", "0")
+        assert code == 1 and "SOA is at www.example." in err
 
     def test_journal_with_a_bad_line_is_refused_naming_it(self, capsys, tmp_path, fixture_zone,
                                                            monkeypatch):

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import HalfWrites, build_fixture_zone
+from conftest import SOA_LINE, SOA_MASTER_FILE, HalfWrites, build_fixture_zone
 from semdns import client, server as server_module, wire
 from semdns.records import (
     A, CLASS_NONE, CNAME, PTR, ResourceRecord, SOA, SRV, TXT,
-    make_txt,
+    make_txt, parse_record_line,
     TYPE_A, TYPE_ANY, TYPE_AXFR, TYPE_CNAME, TYPE_IXFR, TYPE_PTR, TYPE_SOA,
     TYPE_SRV, TYPE_TXT,
     parse_name,
@@ -183,6 +183,15 @@ class TestAxfr:
     def test_empty_subtree_nxdomain(self, fixture_zone):
         msg = Message(id=1, questions=(Question(parse_name("zz._iot._udp"), TYPE_AXFR),))
         assert serve_axfr(msg, fixture_zone, stream=True).rcode == RCODE_NXDOMAIN
+
+    def test_the_master_files_soa_is_served_and_frames_the_transfer(self):
+        zone = Zone.from_master_file(SOA_MASTER_FILE)
+        soa = parse_record_line(SOA_LINE)
+        reply = admit(zone, Message(id=1, questions=(Question(("example",), TYPE_SOA),)))
+        assert reply.answers == (soa,)
+        axfr = admit(zone, Message(id=1, questions=(Question(("example",), TYPE_AXFR),)),
+                     stream=True)
+        assert axfr.answers[0] == axfr.answers[-1] == soa
 
 
 def ixfr_query(serial):
@@ -431,6 +440,26 @@ class TestUpdate:
                                      ServerConfig(port=0), stream=False, source="127.0.0.1"))
         assert reply.rcode == RCODE_NOERROR
         assert fixture_zone.serial == serial and fixture_zone.journal() == journal
+
+    def test_class_none_with_data_not_held_is_a_no_op(self, fixture_zone):
+        # RFC 2136 §2.5.4: class NONE deletes only a record whose data matches
+        owner = parse_name("temperature.dr56._iot._udp")
+        rr = ResourceRecord(owner, 0, txt_pair("temperature", "99"), rclass=CLASS_NONE)
+        serial, journal = fixture_zone.serial, fixture_zone.journal()
+        before = fixture_zone.records_at(owner)
+        assert admit(fixture_zone, update_msg([rr])).rcode == RCODE_NOERROR
+        assert fixture_zone.serial == serial and fixture_zone.journal() == journal
+        assert fixture_zone.records_at(owner) is before
+
+    def test_class_none_deletes_exactly_the_matching_record(self, fixture_zone):
+        owner = parse_name("temperature.dr56._iot._udp")
+        held, other = (ResourceRecord(owner, 100, txt_pair("temperature", value))
+                       for value in ("14", "15"))
+        fixture_zone.add_record(other)  # two values for one key
+        rr = ResourceRecord(owner, 0, txt_pair("temperature", "14"), rclass=CLASS_NONE)
+        assert admit(fixture_zone, update_msg([rr])).rcode == RCODE_NOERROR
+        assert fixture_zone.journal()[-1] == JournalEntry(7, (held,), ())
+        assert fixture_zone.records_at(owner, TYPE_TXT) == (other,)
 
     def test_absent_delete_then_set_is_one_step(self, fixture_zone):
         owner = parse_name("temperature.dr56._iot._udp")
@@ -688,16 +717,6 @@ def test_restarts_anywhere_in_an_update_history_change_nothing(history, retentio
     oldest = live.journal()[0].serial - 1 if live.journal() else live.serial
     for serial in range(oldest - 1, live.serial + 1):  # and one the journal no longer holds
         assert zone.ixfr_diff(serial) == live.ixfr_diff(serial)
-
-
-@pytest.fixture(scope="module")
-def large_zone():
-    """1,500 devices: a full transfer is over 65,535 bytes."""
-    zone = Zone()
-    for i in range(1500):
-        zone.register_device(DeviceRegistration(
-            f"dev{i}", f"dr{i:04d}", 8080, parse_name(f"h{i}.example")))
-    return zone
 
 
 class TestDispatch:

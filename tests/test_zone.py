@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HalfWrites, build_fixture_zone
+from conftest import SOA_LINE, SOA_MASTER_FILE, HalfWrites, build_fixture_zone
 from semdns.bits import ALPHABET
 from semdns.geo import GeoPoint, encode_geohash
 from semdns.records import (
@@ -66,9 +66,8 @@ class TestRegistration:
 
     def test_custom_ttl(self):
         zone = Zone()
-        zone.register_device(DeviceRegistration(
+        _, owner = zone.register_device(DeviceRegistration(
             "t", "ab", 1, parse_name("h.example"), ttl=30))
-        owner = zone.instance_owner(DeviceRegistration("t", "ab", 1, parse_name("h.example")))
         assert zone.records_at(owner, TYPE_SRV)[0].ttl == 30
 
 
@@ -583,6 +582,18 @@ class TestMasterFile:
     def test_requires_exactly_one_soa(self):
         with pytest.raises(ZoneError):
             Zone.from_master_file("$ORIGIN .\nx. 60 IN A 1.2.3.4\n")
+
+    def test_keeps_the_files_soa(self):
+        zone = Zone.from_master_file(SOA_MASTER_FILE)
+        assert zone.export_master_file() == SOA_MASTER_FILE
+        zone.update_txt(parse_name("dr56.example"), "k", "1")
+        assert zone.soa_record().render() == SOA_LINE.replace(" 5 ", " 6 ")
+
+    def test_refuses_an_soa_off_the_origin(self):
+        # RFC 1035 §5.2: the SOA is at the top of the zone
+        text = SOA_MASTER_FILE.replace(f"\n{SOA_LINE}", f"\nwww.{SOA_LINE}")
+        with pytest.raises(ZoneError, match=r"SOA is at www\.example\., not at the origin example\."):
+            Zone.from_master_file(text)
 
 
 class TestJournalPersistence:
